@@ -61,7 +61,7 @@ fn main() {
     // tracker* measurements the same way, or the model is lying.
     let model = MemoryModel::hybrid(n, 1, 1).with_shell_pairs(pair_bytes);
     let est_replicated = model.bytes_mpi_only();
-    let est_sharded = model.bytes_sharded(RANKS);
+    let est_sharded = model.bytes_sharded(RANKS, basis.max_shell_functions());
     assert!(
         est_sharded < est_replicated,
         "model: sharded {est_sharded:.0} B should undercut replicated {est_replicated:.0} B"

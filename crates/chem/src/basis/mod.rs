@@ -143,6 +143,11 @@ impl BasisSet {
     pub fn max_l(&self) -> usize {
         self.shells.iter().map(|s| s.max_l()).max().unwrap_or(0)
     }
+
+    /// Basis functions in the largest shell (0 for an empty basis).
+    pub fn max_shell_functions(&self) -> usize {
+        self.shells.iter().map(|s| s.n_functions()).max().unwrap_or(0)
+    }
 }
 
 /// Odd double factorial `(2n - 1)!!` with the convention `(-1)!! = 1`.

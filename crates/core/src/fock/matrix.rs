@@ -1,23 +1,23 @@
-//! Distribution-aware matrix layer: how builders *read* density and
-//! *write* Fock contributions, independent of where the matrices live.
+//! Distribution-aware matrix layer: where builders *read* density and
+//! *write* Fock contributions.
 //!
-//! The read side is [`DensityView`], the write side [`FockAccumulator`];
-//! each has two backends:
+//! Two storage policies live here, each with its own concrete types and
+//! no dispatch between them:
 //!
 //! * **Replicated** — the matrices exist in full on every rank.
 //!   [`ReplicatedFock`] owns the per-channel lower-triangle accumulation
 //!   buffers every replicated builder (serial, MPI-only, private-Fock,
-//!   shared-Fock) digests into, and `DensityView::Replicated` wraps the
-//!   prepared [`DensityWork`]. The replicated read path stays on the
-//!   monomorphic digestion in `fock/mod.rs` — this layer adds no cost to
-//!   the paper's three algorithms.
+//!   shared-Fock) digests into through the monomorphic digestion in
+//!   `fock/mod.rs`.
 //! * **RowShard** — the matrices live in tri-packed row shards inside
 //!   [`phi_dmpi::DistributedArray`] windows, striped over ranks.
-//!   [`ShardDensity`] reads rows on demand through `get` with a bounded
-//!   row cache; [`RowShardFock`] buffers contributions sparsely and
-//!   flushes them as coalesced `acc` runs. No rank ever materializes a
-//!   full `N x N` matrix — per-rank memory is the owned window stripes
-//!   plus two O(N) caches.
+//!   [`ShardDensity`] reads rows on demand through `get` into a bounded,
+//!   direct-indexed FIFO row cache; [`RowShardFock`] accumulates a task's
+//!   updates in dense row blocks (the paper's `FI`/`FJ` buffers adapted
+//!   to tri-packed windows) and flushes each block row as one `acc` run.
+//!   [`digest_quartet_shard`] digests through the pair. No rank ever
+//!   materializes a full `N x N` matrix — per-rank memory is the owned
+//!   window stripes plus the O(N) buffers priced by [`ShardBudget`].
 //!
 //! The tri-packed layout stores the lower triangle row-major:
 //! element `(p, q)` with `p >= q` lives at `p (p + 1) / 2 + q`, so one
@@ -28,7 +28,8 @@ use super::{DensityWork, FockSink, TriSink};
 use phi_chem::BasisSet;
 use phi_dmpi::{DdiMode, DistributedArray};
 use phi_linalg::Mat;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// Length of a tri-packed lower triangle of an `n x n` symmetric matrix.
 #[inline]
@@ -46,14 +47,46 @@ pub fn tri_index(p: usize, q: usize) -> usize {
 /// Row-cache capacity in *elements* for the sharded density reader.
 /// O(N): big enough to keep the bra rows plus the sweeping ket rows of a
 /// task hot, small enough that it never approaches a replicated matrix.
-pub fn shard_cache_elems(n: usize) -> usize {
+fn shard_cache_elems(n: usize) -> usize {
     (16 * n).max(1024)
 }
 
-/// Pending-entry capacity of the sharded Fock write buffer. Each entry is
-/// 16 bytes (packed index + value); O(N) total.
-pub fn shard_flush_entries(n: usize) -> usize {
+/// Pending-entry capacity of the sharded sparse write buffer. Each entry
+/// is 16 bytes (packed index + value); O(N) total.
+fn shard_flush_entries(n: usize) -> usize {
     (8 * n).max(512)
+}
+
+/// Per-rank resident bytes of one sharded build with `nch` spin channels
+/// over `n_ranks` ranks — the single formula the live memory tracker, the
+/// memory model and the tests all use.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ShardBudget {
+    /// This rank's stripe of every density and Fock window.
+    pub stripe_bytes: usize,
+    /// The O(N) per-rank buffers: the density row cache with its slot
+    /// table and FIFO ring, the dense Fock row blocks, and the sparse
+    /// write buffer.
+    pub buffer_bytes: usize,
+}
+
+impl ShardBudget {
+    /// `max_shell_fns` is the basis's largest shell
+    /// ([`BasisSet::max_shell_functions`]): it sets the row count of
+    /// each of the three Fock row blocks.
+    pub fn new(n: usize, max_shell_fns: usize, n_ranks: usize, nch: usize) -> ShardBudget {
+        // Density windows: `D` restricted; `D_total`, `D_alpha`, `D_beta` UHF.
+        let n_dens = if nch == 1 { 1 } else { 3 };
+        let stripe_bytes = (n_dens + nch) * tri_len(n).div_ceil(n_ranks) * size_of::<f64>();
+        let cache = shard_cache_elems(n) * size_of::<f64>() + 2 * n_dens * n * size_of::<u32>();
+        let blocks = 3 * nch * max_shell_fns * n * size_of::<f64>();
+        let sparse = shard_flush_entries(n) * size_of::<(u64, f64)>();
+        ShardBudget { stripe_bytes, buffer_bytes: cache + blocks + sparse }
+    }
+
+    pub fn total(&self) -> usize {
+        self.stripe_bytes + self.buffer_bytes
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -170,32 +203,52 @@ pub fn gather_tri(win: &DistributedArray, n: usize) -> Mat {
     m
 }
 
+/// Slot value of a `(window, row)` the density cache does not hold.
+const NOT_CACHED: u32 = u32::MAX;
+
 /// Read side of the RowShard backend: on-demand tri-packed row fetches
-/// from the density windows with a bounded FIFO row cache.
+/// from the density windows into a bounded FIFO row cache.
+///
+/// The cache is a ring arena of `16N` elements (floor 1024) with one
+/// slot per `(window, row)` holding the row's arena offset, so a hit is
+/// two indexed loads — no hashing — and a miss `get`s the row straight
+/// into the arena. Rows are placed back to back in fetch order, which is
+/// also FIFO eviction order: a fetch evicts exactly the oldest rows whose
+/// space it reuses, and nothing is allocated after construction.
 ///
 /// Window 0 is the Coulomb source (`D` restricted, `D_total` UHF);
 /// windows `1..` are the per-spin exchange densities of a UHF build.
 pub struct ShardDensity<'a> {
     wins: &'a [DistributedArray],
     rank: usize,
-    /// `(window, row) -> row values [row*(row+1)/2 .. +row+1)`.
-    cache: HashMap<(u32, u32), Vec<f64>>,
-    /// FIFO eviction order of cached rows.
-    order: VecDeque<(u32, u32)>,
-    /// Elements currently cached / capacity in elements.
-    cached_elems: usize,
-    cap_elems: usize,
+    n: usize,
+    /// Arena offset of the row `(window, row)` at `window * n + row`, or
+    /// [`NOT_CACHED`].
+    slot: Vec<u32>,
+    /// Cached rows, row `r` occupying `r + 1` consecutive elements.
+    arena: Vec<f64>,
+    /// Slot keys of the cached rows, oldest first (= arena order).
+    order: VecDeque<u32>,
+    /// Arena offset of the next fetched row.
+    head: usize,
 }
 
 impl<'a> ShardDensity<'a> {
     pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> ShardDensity<'a> {
+        let slots = wins.len() * n;
+        let arena_len = shard_cache_elems(n);
+        assert!(
+            slots.max(arena_len) < NOT_CACHED as usize,
+            "row-cache keys and offsets must fit in u32 (n = {n})"
+        );
         ShardDensity {
             wins,
             rank,
-            cache: HashMap::new(),
-            order: VecDeque::new(),
-            cached_elems: 0,
-            cap_elems: shard_cache_elems(n),
+            n,
+            slot: vec![NOT_CACHED; slots],
+            arena: vec![0.0; arena_len],
+            order: VecDeque::with_capacity(slots),
+            head: 0,
         }
     }
 
@@ -218,48 +271,79 @@ impl<'a> ShardDensity<'a> {
         }
     }
 
-    fn row(&mut self, win: usize, r: usize) -> &[f64] {
-        let key = (win as u32, r as u32);
-        if !self.cache.contains_key(&key) {
-            while self.cached_elems + r + 1 > self.cap_elems {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        if let Some(v) = self.cache.remove(&old) {
-                            self.cached_elems -= v.len();
-                        }
-                    }
-                    None => break, // single row larger than cap: cache it anyway
-                }
-            }
-            let mut buf = vec![0.0; r + 1];
-            self.wins[win].get(self.rank, tri_index(r, 0), &mut buf);
-            self.cached_elems += buf.len();
-            self.cache.insert(key, buf);
-            self.order.push_back(key);
+    /// Bytes this reader holds: the arena plus the slot table and the
+    /// FIFO ring (one `u32` each per `(window, row)`).
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.arena.len() * size_of::<f64>() + 2 * self.slot.len() * size_of::<u32>()
+    }
+
+    /// Arena range of the cached row behind slot `key`.
+    fn span_of(&self, key: u32) -> (usize, usize) {
+        let start = self.slot[key as usize] as usize;
+        (start, start + key as usize % self.n + 1)
+    }
+
+    fn evict_oldest(&mut self) {
+        if let Some(old) = self.order.pop_front() {
+            self.slot[old as usize] = NOT_CACHED;
         }
-        &self.cache[&key]
+    }
+
+    /// Fetch row `key % n` of window `key / n` into the arena; returns
+    /// its offset.
+    #[cold]
+    #[inline(never)]
+    fn fetch(&mut self, key: usize) -> usize {
+        let r = key % self.n;
+        let len = r + 1;
+        debug_assert!(len <= self.arena.len());
+        let mut pos = self.head;
+        if pos + len > self.arena.len() {
+            // Wrap: the rows between `head` and the arena's end are the
+            // previous lap's oldest — evict them, then reuse from 0.
+            while self.order.front().is_some_and(|&old| self.span_of(old).0 >= pos) {
+                self.evict_oldest();
+            }
+            pos = 0;
+        }
+        while let Some(&old) = self.order.front() {
+            let (start, end) = self.span_of(old);
+            if start >= pos + len || end <= pos {
+                break;
+            }
+            self.evict_oldest();
+        }
+        let win = key / self.n;
+        self.wins[win].get(self.rank, tri_index(r, 0), &mut self.arena[pos..pos + len]);
+        self.slot[key] = pos as u32;
+        self.order.push_back(key as u32);
+        self.head = pos + len;
+        pos
     }
 
     /// Symmetric element read from window `win`.
+    #[inline]
     fn value(&mut self, win: usize, p: usize, q: usize) -> f64 {
         let (r, c) = if p >= q { (p, q) } else { (q, p) };
-        self.row(win, r)[c]
+        let key = win * self.n + r;
+        let off = match self.slot[key] {
+            NOT_CACHED => self.fetch(key),
+            off => off as usize,
+        };
+        self.arena[off + c]
     }
 
     /// Coulomb-source element (`D` or `D_total`).
+    #[inline]
     pub fn coulomb(&mut self, p: usize, q: usize) -> f64 {
         self.value(0, p, q)
     }
 
     /// Exchange-source element for spin channel `ch`.
+    #[inline]
     pub fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
         let win = if self.wins.len() == 1 { 0 } else { 1 + ch };
         self.value(win, p, q)
-    }
-
-    /// Bytes of bounded per-rank state (the row cache at capacity).
-    pub fn budget_bytes(&self) -> usize {
-        self.cap_elems * std::mem::size_of::<f64>()
     }
 }
 
@@ -267,19 +351,54 @@ impl<'a> ShardDensity<'a> {
 // RowShard backend (write side)
 // ---------------------------------------------------------------------
 
-/// Write side of the RowShard backend: contributions are buffered as
-/// sparse `(channel, tri index, value)` entries and flushed as coalesced
-/// one-sided `acc` runs into the tri-packed Fock windows.
+/// Row blocks of one `(i, j)` task: rows of shell i, shell j and the
+/// current k shell.
+const BLOCK_I: usize = 0;
+const BLOCK_J: usize = 1;
+const BLOCK_K: usize = 2;
+
+/// Write side of the RowShard backend — Algorithm 3's `FI`/`FJ` buffers
+/// adapted to tri-packed Fock windows.
 ///
-/// Durability contract (the PR 3 fault model): a kill can only fire
+/// Within an `(i, j)` task every canonical update `F[p, q]` (`p >= q`)
+/// has `p <= last(i)`. Updates whose row lies in shell i, shell j or the
+/// current k shell land in a dense row block `max_shell x width` with
+/// `width = last(i) + 1`; a block whose shell coincides with one already
+/// held (`i == j`, `k == i`, `k == j`) is skipped and its rows go to the
+/// holder. The only other rows a task writes are those of an l shell with
+/// `j < l < k`, and their column is always in shell j, so they are held
+/// transposed in the j block. The k block is flushed when k advances
+/// ([`begin_k`](Self::begin_k)), the i and j blocks at
+/// [`end_task`](Self::end_task): each block row's lower-triangle part is
+/// one `acc` over its nonzero span, and the transposed part goes to a
+/// sparse `(channel, tri index, value)` buffer that sort-merges into
+/// coalesced `acc` runs when it fills and on [`flush`](Self::flush).
+///
+/// Durability contract (the fault model of DESIGN.md §8): a kill can only fire
 /// inside `lease_next`, i.e. *between* tasks — so as long as the builder
-/// flushes before `lease_complete` of each task (flush-then-complete,
-/// like the distributed builder), a dead rank never strands completed
-/// work, and capacity-triggered flushes mid-task are safe in every mode.
+/// calls `end_task` and `flush` before `lease_complete` of each task
+/// (flush-then-complete, like the distributed builder), a dead rank never
+/// strands completed work, and the k-block and capacity-triggered
+/// flushes mid-task are safe in every mode.
 pub struct RowShardFock<'a> {
     wins: &'a [DistributedArray],
+    basis: &'a BasisSet,
     rank: usize,
-    /// Packed key: `channel << 48 | tri index`.
+    /// Dense row blocks, `[channel][block][row][column]`, each block
+    /// `max_fns` rows of `width` columns.
+    blocks: Vec<f64>,
+    max_fns: usize,
+    /// Columns of every block row this task: last function of shell i + 1.
+    width: usize,
+    /// The current task's shells i and j.
+    task: (usize, usize),
+    /// First row (basis function) of each block.
+    lo: [usize; 3],
+    /// Rows each block holds this task; 0 when skipped.
+    rows: [usize; 3],
+    /// Whether a block holds updates not yet flushed.
+    dirty: [bool; 3],
+    /// Sparse buffer; packed key `channel << 48 | tri index`.
     pending: Vec<(u64, f64)>,
     cap: usize,
     /// One-sided `acc` runs issued so far.
@@ -287,29 +406,129 @@ pub struct RowShardFock<'a> {
 }
 
 impl<'a> RowShardFock<'a> {
-    pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> RowShardFock<'a> {
+    pub fn new(wins: &'a [DistributedArray], basis: &'a BasisSet, rank: usize) -> RowShardFock<'a> {
+        let n = basis.n_basis();
+        let max_fns = basis.max_shell_functions();
         let cap = shard_flush_entries(n);
-        RowShardFock { wins, rank, pending: Vec::with_capacity(cap), cap, flushes: 0 }
+        RowShardFock {
+            wins,
+            basis,
+            rank,
+            blocks: vec![0.0; wins.len() * 3 * max_fns * n],
+            max_fns,
+            width: 0,
+            task: (0, 0),
+            lo: [0; 3],
+            rows: [0; 3],
+            dirty: [false; 3],
+            pending: Vec::with_capacity(cap),
+            cap,
+            flushes: 0,
+        }
     }
 
-    /// Canonical update `F_ch[mu, nu] += v` (`mu >= nu`).
+    /// Bytes this accumulator holds: the row blocks plus the sparse
+    /// buffer at capacity.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        self.blocks.len() * size_of::<f64>() + self.cap * size_of::<(u64, f64)>()
+    }
+
+    /// Start task `(i, j)`, `i >= j`. The previous task must have ended.
+    pub fn begin_task(&mut self, i: usize, j: usize) {
+        debug_assert!(self.dirty == [false; 3], "begin_task before end_task");
+        let (sh_i, sh_j) = (&self.basis.shells[i], &self.basis.shells[j]);
+        self.task = (i, j);
+        self.width = sh_i.first_bf + sh_i.n_functions();
+        self.lo = [sh_i.first_bf, sh_j.first_bf, 0];
+        self.rows = [sh_i.n_functions(), if j == i { 0 } else { sh_j.n_functions() }, 0];
+    }
+
+    /// Advance to ket shell `k` of the current task, flushing the
+    /// previous k block.
+    pub fn begin_k(&mut self, k: usize) {
+        self.flush_block(BLOCK_K);
+        let (i, j) = self.task;
+        let sh_k = &self.basis.shells[k];
+        self.lo[BLOCK_K] = sh_k.first_bf;
+        self.rows[BLOCK_K] = if k == i || k == j { 0 } else { sh_k.n_functions() };
+    }
+
+    /// Flush every row block of the current task into the windows (the
+    /// transposed part into the sparse buffer).
+    pub fn end_task(&mut self) {
+        for b in [BLOCK_K, BLOCK_I, BLOCK_J] {
+            self.flush_block(b);
+        }
+        self.rows = [0; 3];
+    }
+
+    /// Canonical update `F_ch[p, q] += v` (`p >= q`) of the current task.
     #[inline]
-    pub fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
-        debug_assert!(mu >= nu);
-        self.pending.push((((ch as u64) << 48) | tri_index(mu, nu) as u64, v));
+    pub fn add(&mut self, ch: usize, p: usize, q: usize, v: f64) {
+        debug_assert!(p >= q && p < self.width, "({p},{q}) outside task width {}", self.width);
+        let (b, r, c) = if p >= self.lo[BLOCK_I] {
+            (BLOCK_I, p - self.lo[BLOCK_I], q)
+        } else if p.wrapping_sub(self.lo[BLOCK_K]) < self.rows[BLOCK_K] {
+            (BLOCK_K, p - self.lo[BLOCK_K], q)
+        } else if p.wrapping_sub(self.lo[BLOCK_J]) < self.rows[BLOCK_J] {
+            (BLOCK_J, p - self.lo[BLOCK_J], q)
+        } else {
+            // Row in an l shell with j < l < k: the column is in shell j.
+            debug_assert!(q.wrapping_sub(self.lo[BLOCK_J]) < self.rows[BLOCK_J]);
+            (BLOCK_J, q - self.lo[BLOCK_J], p)
+        };
+        self.dirty[b] = true;
+        self.blocks[((ch * 3 + b) * self.max_fns + r) * self.width + c] += v;
     }
 
-    /// Whether the pending buffer has reached its capacity.
-    pub fn full(&self) -> bool {
-        self.pending.len() >= self.cap
+    /// Accumulate block `b` into the windows and zero it: per row, the
+    /// lower-triangle nonzero span is one `acc`; the j block's
+    /// transposed part goes to the sparse buffer.
+    fn flush_block(&mut self, b: usize) {
+        if !std::mem::take(&mut self.dirty[b]) {
+            return;
+        }
+        let _span = phi_trace::span("fock.flush_scatter");
+        let w = self.width;
+        for ch in 0..self.wins.len() {
+            for r in 0..self.rows[b] {
+                let x = self.lo[b] + r;
+                let base = ((ch * 3 + b) * self.max_fns + r) * w;
+                let lower = &mut self.blocks[base..=base + x];
+                if let Some(first) = lower.iter().position(|&v| v != 0.0) {
+                    let last = lower.iter().rposition(|&v| v != 0.0).unwrap_or(first);
+                    self.wins[ch].acc(self.rank, tri_index(x, first), &lower[first..=last]);
+                    lower[first..=last].fill(0.0);
+                    self.flushes += 1;
+                }
+                if b == BLOCK_J {
+                    for c in x + 1..w {
+                        let v = std::mem::take(&mut self.blocks[base + c]);
+                        if v != 0.0 {
+                            self.push_sparse(ch, c, x, v);
+                        }
+                    }
+                }
+            }
+        }
     }
 
-    /// Sort, merge and accumulate every pending entry into the windows as
-    /// contiguous runs, then clear the buffer.
+    /// Buffer `F_ch[p, q] += v` sparsely, flushing when the buffer fills.
+    fn push_sparse(&mut self, ch: usize, p: usize, q: usize, v: f64) {
+        self.pending.push((((ch as u64) << 48) | tri_index(p, q) as u64, v));
+        if self.pending.len() >= self.cap {
+            self.flush();
+        }
+    }
+
+    /// Sort, merge and accumulate every sparse entry into the windows as
+    /// contiguous runs, then clear the buffer. Row blocks are untouched:
+    /// call [`end_task`](Self::end_task) first to drain a whole task.
     pub fn flush(&mut self) {
         if self.pending.is_empty() {
             return;
         }
+        let _span = phi_trace::span("fock.flush_scatter");
         self.pending.sort_unstable_by_key(|&(k, _)| k);
         let mut run_start_key = self.pending[0].0;
         let mut run: Vec<f64> = Vec::new();
@@ -343,112 +562,27 @@ impl<'a> RowShardFock<'a> {
         flush_run(&mut self.flushes, self.wins, self.rank, run_start_key, &run);
         self.pending.clear();
     }
-
-    /// Bytes of bounded per-rank state (the pending buffer at capacity).
-    pub fn budget_bytes(&self) -> usize {
-        self.cap * std::mem::size_of::<(u64, f64)>()
-    }
 }
 
-// ---------------------------------------------------------------------
-// The unified view/accumulator pair and generic digestion
-// ---------------------------------------------------------------------
-
-/// Read side of one Fock build: where density elements come from.
-pub enum DensityView<'a> {
-    /// Full matrices on this rank (wraps the prepared [`DensityWork`]).
-    Replicated(&'a DensityWork<'a>),
-    /// Tri-packed DDI row shards with a bounded row cache.
-    RowShard(ShardDensity<'a>),
-}
-
-impl DensityView<'_> {
-    pub fn n_out(&self) -> usize {
-        match self {
-            DensityView::Replicated(w) => w.n_channels(),
-            DensityView::RowShard(s) => s.n_out(),
-        }
-    }
-
-    pub fn k_factor(&self) -> f64 {
-        match self {
-            DensityView::Replicated(w) => match w {
-                DensityWork::Restricted(_) => -0.5,
-                DensityWork::Unrestricted { .. } => -1.0,
-            },
-            DensityView::RowShard(s) => s.k_factor(),
-        }
-    }
-
-    /// Coulomb-source element (`D` restricted, `D_total` UHF).
-    #[inline]
-    pub fn coulomb(&mut self, p: usize, q: usize) -> f64 {
-        match self {
-            DensityView::Replicated(w) => match w {
-                DensityWork::Restricted(d) => d[(p, q)],
-                DensityWork::Unrestricted { total, .. } => total[(p, q)],
-            },
-            DensityView::RowShard(s) => s.coulomb(p, q),
-        }
-    }
-
-    /// Exchange-source element for spin channel `ch`.
-    #[inline]
-    pub fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
-        match self {
-            DensityView::Replicated(w) => match w {
-                DensityWork::Restricted(d) => d[(p, q)],
-                DensityWork::Unrestricted { alpha, beta, .. } => {
-                    if ch == 0 {
-                        alpha[(p, q)]
-                    } else {
-                        beta[(p, q)]
-                    }
-                }
-            },
-            DensityView::RowShard(s) => s.exchange(ch, p, q),
-        }
-    }
-}
-
-/// Write side of one Fock build: where canonical updates land.
-pub enum FockAccumulator<'a> {
-    Replicated(ReplicatedFock),
-    RowShard(RowShardFock<'a>),
-}
-
-impl FockAccumulator<'_> {
-    #[inline]
-    pub fn add(&mut self, ch: usize, mu: usize, nu: usize, v: f64) {
-        match self {
-            FockAccumulator::Replicated(r) => {
-                let n = r.n;
-                r.bufs[ch * n * n + mu * n + nu] += v;
-            }
-            FockAccumulator::RowShard(s) => s.add(ch, mu, nu, v),
-        }
-    }
-}
-
-/// Digest one canonical shell quartet through the distribution-aware
-/// layer: reads via [`DensityView`], writes via [`FockAccumulator`].
+/// Digest one canonical shell quartet of the current task of `fock`,
+/// reading density through `dens`.
 ///
 /// Semantically identical to the monomorphic `digest_quartet_dens` —
 /// per unique ordered tuple `(a,b,c,e)` of the integral's orbit,
 /// Coulomb `F_ch[ab] += D_J[ce] * X` into every spin channel and
 /// exchange `F_ch[ac] += k * X * D_ch[be]` with `k` = -1/2 (RHF) or
-/// -1 (UHF). The replicated builders keep the monomorphic path for
-/// speed; equivalence is asserted by this module's tests.
+/// -1 (UHF) — summed in a different order, so parity with the replicated
+/// builders holds to rounding, not bitwise.
 #[allow(clippy::too_many_arguments)]
-pub fn digest_quartet_view(
+pub fn digest_quartet_shard(
     basis: &BasisSet,
     si: usize,
     sj: usize,
     sk: usize,
     sl: usize,
     quartet: &[f64],
-    view: &mut DensityView<'_>,
-    acc: &mut FockAccumulator<'_>,
+    dens: &mut ShardDensity<'_>,
+    fock: &mut RowShardFock<'_>,
 ) {
     let sh_i = &basis.shells[si];
     let sh_j = &basis.shells[sj];
@@ -460,8 +594,8 @@ pub fn digest_quartet_view(
     let same_ij = si == sj;
     let same_kl = sk == sl;
     let same_pair = si == sk && sj == sl;
-    let nch = view.n_out();
-    let kf = view.k_factor();
+    let nch = dens.n_out();
+    let kf = dens.k_factor();
 
     for a in 0..ni {
         let mu = fi + a;
@@ -496,14 +630,14 @@ pub fn digest_quartet_view(
                             continue;
                         }
                         if p >= q {
-                            let j = view.coulomb(r, s) * x;
+                            let j = dens.coulomb(r, s) * x;
                             for ch in 0..nch {
-                                acc.add(ch, p, q, j);
+                                fock.add(ch, p, q, j);
                             }
                         }
                         if p >= r {
                             for ch in 0..nch {
-                                acc.add(ch, p, r, kf * x * view.exchange(ch, q, s));
+                                fock.add(ch, p, r, kf * x * dens.exchange(ch, q, s));
                             }
                         }
                     }
@@ -516,8 +650,8 @@ pub fn digest_quartet_view(
 /// Row-buffer write backend of the *distributed* builder (N x N Fock
 /// striped over ranks, full local scatter buffer): canonical updates land
 /// in a row-major lower-triangle buffer, flushed as whole touched rows.
-/// Predates the sparse [`RowShardFock`]; kept for the builder that
-/// deliberately trades a full local buffer for fewer `acc` calls.
+/// Unlike [`RowShardFock`]'s per-task row blocks it holds a full local
+/// buffer, the trade the distributed builder makes for fewer `acc` calls.
 pub struct RowBufferFock {
     /// Lower-triangular accumulation for the rows this rank touched.
     pub buf: Vec<f64>,
@@ -563,7 +697,8 @@ impl FockSink for RowBufferFock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::{serial::build_g_serial, DensitySet};
+    use crate::fock::engine::FockContext;
+    use crate::fock::{kl_bounds, serial::build_serial, DensitySet};
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
     use phi_integrals::{EriEngine, Screening, ShellPairs};
@@ -575,15 +710,9 @@ mod tests {
         })
     }
 
-    /// Full serial quartet sweep through the generic view/accumulator
-    /// pair with the given backends; returns the per-channel matrices.
-    fn sweep(
-        b: &BasisSet,
-        dens: &DensitySet<'_>,
-        mut view: DensityView<'_>,
-        mut acc: FockAccumulator<'_>,
-    ) -> Vec<Mat> {
-        let _ = dens;
+    /// Full serial quartet sweep through the RowShard reader/accumulator
+    /// pair, task by task as the sharded builder drives it.
+    fn sweep(b: &BasisSet, dens: &mut ShardDensity<'_>, fock: &mut RowShardFock<'_>) {
         let pairs = ShellPairs::build(b);
         let s = Screening::from_pairs(b, &pairs);
         let ns = b.n_shells();
@@ -591,8 +720,10 @@ mod tests {
         let mut eri = Vec::new();
         for i in 0..ns {
             for j in 0..=i {
+                fock.begin_task(i, j);
                 for k in 0..=i {
-                    for l in 0..=super::super::kl_bounds(i, j, k) {
+                    fock.begin_k(k);
+                    for l in 0..=kl_bounds(i, j, k) {
                         if !s.survives(i, j, k, l, 1e-14) {
                             continue;
                         }
@@ -600,43 +731,25 @@ mod tests {
                         eri.clear();
                         eri.resize(bra.n_fn() * ket.n_fn(), 0.0);
                         engine.shell_quartet_pairs(bra, ket, &mut eri);
-                        digest_quartet_view(b, i, j, k, l, &eri, &mut view, &mut acc);
+                        digest_quartet_shard(b, i, j, k, l, &eri, dens, fock);
                     }
                 }
+                fock.end_task();
             }
         }
-        match acc {
-            FockAccumulator::Replicated(r) => r.into_mats(),
-            FockAccumulator::RowShard(mut s) => {
-                s.flush();
-                Vec::new() // caller gathers from the windows
-            }
-        }
-    }
-
-    #[test]
-    fn replicated_view_matches_monomorphic_serial_digestion() {
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let n = b.n_basis();
-        let d = density(n);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let want = build_g_serial(&b, &pairs, &s, 1e-14, &d).g;
-        let dens = DensitySet::Restricted(&d);
-        let work = dens.prepare();
-        let mats = sweep(
-            &b,
-            &dens,
-            DensityView::Replicated(&work),
-            FockAccumulator::Replicated(ReplicatedFock::new(1, n)),
-        );
-        assert!(mats[0].max_abs_diff(&want) < 1e-12, "diff {}", mats[0].max_abs_diff(&want));
+        fock.flush();
     }
 
     #[test]
     fn rowshard_backends_match_replicated_restricted_and_uhf() {
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
+        // 6-31G(d) water: 6-function d blocks wider than any s/p shell,
+        // and tasks hitting every block case (i == j, k == i, k == j and
+        // the transposed l rows of j < l < k).
+        let b = BasisSet::build(&small::water(), BasisName::B631gd);
         let n = b.n_basis();
+        let pairs = ShellPairs::build(&b);
+        let s = Screening::from_pairs(&b, &pairs);
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-14);
         let d_a = density(n);
         let mut d_b = density(n);
         d_b.scale(0.7);
@@ -646,24 +759,16 @@ mod tests {
         ] {
             let work = dens.prepare();
             let nch = dens.n_channels();
-            let want = sweep(
-                &b,
-                &dens,
-                DensityView::Replicated(&work),
-                FockAccumulator::Replicated(ReplicatedFock::new(nch, n)),
-            );
+            let ref_build = build_serial(&ctx, &dens);
+            let want: Vec<Mat> = std::iter::once(ref_build.g).chain(ref_build.g_beta).collect();
             for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
                 let d_wins = scatter_density(&work, n, 3, mode);
                 let f_wins: Vec<DistributedArray> = (0..nch)
                     .map(|_| DistributedArray::new_with_mode(tri_len(n), 3, mode))
                     .collect();
-                let mats = sweep(
-                    &b,
-                    &dens,
-                    DensityView::RowShard(ShardDensity::new(&d_wins, n, 0)),
-                    FockAccumulator::RowShard(RowShardFock::new(&f_wins, n, 0)),
-                );
-                assert!(mats.is_empty());
+                let mut fock = RowShardFock::new(&f_wins, &b, 0);
+                sweep(&b, &mut ShardDensity::new(&d_wins, n, 0), &mut fock);
+                assert!(fock.pending.is_empty() && fock.blocks.iter().all(|&v| v == 0.0));
                 for (ch, want_ch) in want.iter().enumerate() {
                     let got = gather_tri(&f_wins[ch], n);
                     assert!(
@@ -677,31 +782,90 @@ mod tests {
         }
     }
 
+    /// Every cached row lies inside the arena, no two overlap, and the
+    /// slot table points exactly at the rows in the FIFO ring.
+    fn assert_cache_consistent(reader: &ShardDensity<'_>) {
+        let mut spans: Vec<(usize, usize)> =
+            reader.order.iter().map(|&k| reader.span_of(k)).collect();
+        assert_eq!(spans.len(), reader.slot.iter().filter(|&&s| s != NOT_CACHED).count());
+        spans.sort_unstable();
+        for w in spans.windows(2) {
+            assert!(w[0].1 <= w[1].0, "overlapping cached rows {w:?}");
+        }
+        assert!(spans.last().is_none_or(|s| s.1 <= reader.arena.len()));
+    }
+
     #[test]
     fn shard_density_cache_stays_bounded_and_reads_symmetric() {
-        let n = 40;
+        // 100 rows of up to 100 elements against a 1600-element arena:
+        // the sweep wraps the ring many times and evicts in FIFO order.
+        let n = 100;
         let d = density(n);
         let dens = DensitySet::Restricted(&d);
         let work = dens.prepare();
         let wins = scatter_density(&work, n, 4, DdiMode::Mpi3OneSided);
         let mut reader = ShardDensity::new(&wins, n, 1);
-        for p in 0..n {
-            for q in 0..n {
-                assert_eq!(reader.coulomb(p, q), d[(p, q)], "({p},{q})");
+        let arena_len = reader.arena.len();
+        for sweep in 0..3 {
+            for p in 0..n {
+                let p = (p * 37 + sweep * 11) % n;
+                for q in 0..n {
+                    assert_eq!(reader.coulomb(p, q), d[(p, q)], "({p},{q})");
+                }
+                assert_cache_consistent(&reader);
             }
         }
-        assert!(reader.cached_elems <= reader.cap_elems.max(n));
+        assert_eq!(reader.arena.len(), arena_len, "the arena never grows");
+        assert!(reader.order.len() < n, "rows were evicted");
+    }
+
+    #[test]
+    fn row_blocks_route_every_case_and_flush_one_run_per_row() {
+        // Eight one-function s shells (6-31G hydrogens): shell s is basis
+        // function s.
+        let b = BasisSet::build(&small::h_chain(4, 1.4), BasisName::B631g);
+        assert_eq!(b.max_shell_functions(), 1);
+        let n = b.n_basis();
+        let wins = vec![DistributedArray::new(tri_len(n), 2)];
+        let mut fock = RowShardFock::new(&wins, &b, 0);
+        // Task (i, j) = (6, 1) with k = 4 and l = 2: rows in shell i, the
+        // k block, the j block and the transposed l row (j < l < k).
+        fock.begin_task(6, 1);
+        fock.begin_k(4);
+        fock.add(0, 6, 1, 1.0); // i block
+        fock.add(0, 6, 4, 2.0); // i block, same row: one run
+        fock.add(0, 4, 2, 3.0); // k block
+        fock.add(0, 1, 1, 4.0); // j block
+        fock.add(0, 2, 1, 5.0); // l row, held transposed in the j block
+        fock.add(0, 2, 1, 0.5); // merged before the acc
+        fock.begin_k(6); // k == i: the k block is skipped
+        fock.add(0, 6, 6, 6.0);
+        fock.end_task();
+        // k block (row 4), i block (row 6), j block (row 1); the l row
+        // waits in the sparse buffer.
+        assert_eq!(fock.flushes, 3);
+        assert_eq!(fock.pending.len(), 1);
+        fock.flush();
+        assert_eq!(fock.flushes, 4);
+        let m = gather_tri(&wins[0], n);
+        for (p, q, want) in [(6, 1, 1.0), (6, 4, 2.0), (6, 6, 6.0), (4, 2, 3.0), (1, 1, 4.0)] {
+            assert_eq!(m[(p, q)], want, "({p},{q})");
+        }
+        assert_eq!(m[(2, 1)], 5.5);
+        assert_eq!(m.as_slice().iter().filter(|&&v| v != 0.0).count(), 2 * 4 + 2);
+        assert!(fock.blocks.iter().all(|&v| v == 0.0), "flushed blocks are zeroed");
     }
 
     #[test]
     fn rowshard_flush_merges_duplicates_and_coalesces_runs() {
-        let n = 8;
+        let b = BasisSet::build(&small::h_chain(8, 1.4), BasisName::Sto3g);
+        let n = b.n_basis();
         let wins = vec![DistributedArray::new(tri_len(n), 2)];
-        let mut acc = RowShardFock::new(&wins, n, 0);
-        acc.add(0, 3, 1, 2.0);
-        acc.add(0, 3, 1, 0.5); // duplicate key: merged before the acc
-        acc.add(0, 3, 2, 1.0); // adjacent: same run
-        acc.add(0, 6, 0, 4.0); // separate run
+        let mut acc = RowShardFock::new(&wins, &b, 0);
+        acc.push_sparse(0, 3, 1, 2.0);
+        acc.push_sparse(0, 3, 1, 0.5); // duplicate key: merged before the acc
+        acc.push_sparse(0, 3, 2, 1.0); // adjacent: same run
+        acc.push_sparse(0, 6, 0, 4.0); // separate run
         acc.flush();
         assert_eq!(acc.flushes, 2, "two coalesced runs");
         let m = gather_tri(&wins[0], n);

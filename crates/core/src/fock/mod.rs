@@ -158,8 +158,8 @@ impl<'a> DensitySet<'a> {
 }
 
 /// Prepared per-build density data: what the digestion loops actually read.
-/// Public because it is the replicated backend of
-/// [`matrix::DensityView`]; constructed via [`DensitySet::prepare`].
+/// Public because the sharded build scatters it into density windows
+/// ([`matrix::scatter_density`]); constructed via [`DensitySet::prepare`].
 pub enum DensityWork<'a> {
     Restricted(&'a Mat),
     Unrestricted { total: Mat, alpha: &'a Mat, beta: &'a Mat },

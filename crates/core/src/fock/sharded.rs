@@ -5,13 +5,14 @@
 //! stopped replicating Fock per *thread*; the HONPAS-lineage distributed
 //! codes (and GAMESS's distributed-data SCF) stop replicating density and
 //! Fock per *rank*. Each rank owns a `~N(N+1)/2 / R` stripe of every
-//! window plus two O(N) caches:
+//! window plus O(N) buffers ([`ShardBudget`]):
 //!
-//! * reads go through [`ShardDensity`] — on-demand row `get`s
-//!   with a bounded FIFO row cache;
-//! * writes buffer in [`RowShardFock`] — sparse entries flushed
-//!   as coalesced one-sided `acc` runs whenever the buffer fills and at
-//!   task boundaries.
+//! * reads go through [`ShardDensity`] — on-demand row `get`s into a
+//!   direct-indexed FIFO row cache;
+//! * writes accumulate in [`RowShardFock`]'s dense row blocks for shells
+//!   i, j and k of the current task — Algorithm 3's `FI`/`FJ` write
+//!   pattern — flushed as one `acc` per block row when k advances and at
+//!   task end.
 //!
 //! Durability reuses the distributed builder's contract: windows are
 //! created *outside* the world so flushed contributions survive rank
@@ -22,8 +23,8 @@
 
 use super::engine::FockContext;
 use super::matrix::{
-    digest_quartet_view, gather_tri, scatter_density, tri_len, DensityView, FockAccumulator,
-    RowShardFock, ShardDensity,
+    digest_quartet_shard, gather_tri, scatter_density, tri_len, RowShardFock, ShardBudget,
+    ShardDensity,
 };
 use super::{kl_bounds, pair_decode, DensitySet};
 use crate::stats::FockBuildStats;
@@ -64,26 +65,18 @@ pub fn build_sharded(
     let f_wins: Vec<DistributedArray> = (0..nch)
         .map(|_| reliable(DistributedArray::new_with_mode(tri_len(n), n_ranks, mode)))
         .collect();
+    // Per-rank resident bytes: this rank's owned stripe of every window
+    // plus the O(N) buffers. Nothing here scales as a full N x N matrix.
+    let budget = ShardBudget::new(n, basis.max_shell_functions(), n_ranks, nch);
 
     let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
     let world = phi_dmpi::run_world_with_config(cfg, |rank| {
         let _span = phi_trace::span("fock.build");
         let start = Instant::now();
-        let mut view = DensityView::RowShard(ShardDensity::new(&d_wins, n, rank.rank()));
-        let mut acc = FockAccumulator::RowShard(RowShardFock::new(&f_wins, n, rank.rank()));
-        // Per-rank resident bytes: this rank's owned stripe of every
-        // window plus the two bounded caches plus the shared read-only
-        // pair dataset. Nothing here scales as a full N x N matrix.
-        let stripe_bytes = (d_wins.len() + f_wins.len())
-            * tri_len(n).div_ceil(n_ranks)
-            * std::mem::size_of::<f64>();
-        let (cache_bytes, buffer_bytes) = match (&view, &acc) {
-            (DensityView::RowShard(v), FockAccumulator::RowShard(a)) => {
-                (v.budget_bytes(), a.budget_bytes())
-            }
-            _ => unreachable!(),
-        };
-        rank.charge_bytes(stripe_bytes + cache_bytes + buffer_bytes);
+        let mut reader = ShardDensity::new(&d_wins, n, rank.rank());
+        let mut fock = RowShardFock::new(&f_wins, basis, rank.rank());
+        debug_assert_eq!(budget.buffer_bytes, reader.resident_bytes() + fock.resident_bytes());
+        rank.charge_bytes(budget.total());
         rank.charge_bytes(ctx.pairs.bytes());
 
         let mut engine = ctx.engine();
@@ -105,7 +98,9 @@ pub fn build_sharded(
             };
             tasks += 1;
             let (i, j) = pair_decode(t);
+            fock.begin_task(i, j);
             for k in 0..=i {
+                fock.begin_k(k);
                 for l in 0..=kl_bounds(i, j, k) {
                     if !ctx.survives(i, j, k, l) {
                         screened += 1;
@@ -115,47 +110,26 @@ pub fn build_sharded(
                     eri_buf.clear();
                     eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
                     engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                    digest_quartet_view(basis, i, j, k, l, &eri_buf, &mut view, &mut acc);
+                    digest_quartet_shard(basis, i, j, k, l, &eri_buf, &mut reader, &mut fock);
                     computed += 1;
-                    // Capacity flush: keeps the write buffer O(N) even
-                    // inside a large task. Safe under faults because
-                    // kills only fire at lease claims, between tasks.
-                    if let FockAccumulator::RowShard(a) = &mut acc {
-                        if a.full() {
-                            let _span = phi_trace::span("fock.flush_scatter");
-                            a.flush();
-                        }
-                    }
                 }
             }
-            if let FockAccumulator::RowShard(a) = &mut acc {
-                if fault_mode {
-                    // Flush-then-complete: this task's contributions are
-                    // durable in the windows before the lease completes.
-                    let _span = phi_trace::span("fock.flush_scatter");
-                    a.flush();
-                    rank.lease_complete(t);
-                } else {
-                    rank.lease_complete(t);
-                    if tasks.is_multiple_of(32) {
-                        let _span = phi_trace::span("fock.flush_scatter");
-                        a.flush();
-                    }
-                }
+            fock.end_task();
+            if fault_mode {
+                // Flush-then-complete: this task's contributions are
+                // durable in the windows before the lease completes.
+                fock.flush();
             }
+            rank.lease_complete(t);
         }
-        let mut flushes = 0u64;
-        if let FockAccumulator::RowShard(a) = &mut acc {
-            if !dead {
-                let _span = phi_trace::span("fock.flush_scatter");
-                a.flush();
-                // Every live rank's accumulates must land before anyone
-                // reads; dead ranks have deregistered.
-                let _ = rank.ft_barrier();
-            }
-            flushes = a.flushes;
+        if !dead {
+            fock.flush();
+            // Every live rank's accumulates must land before anyone
+            // reads; dead ranks have deregistered.
+            let _ = rank.ft_barrier();
         }
-        rank.release_bytes(stripe_bytes + cache_bytes + buffer_bytes);
+        let flushes = fock.flushes;
+        rank.release_bytes(budget.total());
         rank.release_bytes(ctx.pairs.bytes());
 
         phi_trace::counter("quartets_computed", computed);
@@ -226,7 +200,7 @@ pub fn build_g_sharded(
 mod tests {
     use super::*;
     use crate::fock::mpi_only::build_g_mpi_only;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::serial::{build_g_serial, build_serial};
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
 
@@ -273,7 +247,7 @@ mod tests {
         d_b.scale(0.6);
         let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
         let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
-        let want = crate::fock::serial::build_serial(&ctx, &dens);
+        let want = build_serial(&ctx, &dens);
         let got =
             build_sharded(&ctx, &dens, 3, DdiMode::Mpi3OneSided, None, RetryPolicy::default());
         let want_b = want.g_beta.expect("beta channel");
@@ -283,8 +257,67 @@ mod tests {
     }
 
     #[test]
+    fn d_shell_blocks_match_serial_for_one_to_three_ranks_restricted_and_uhf() {
+        // 6-31G(d) water has a 6-function d shell, wider than every s/p
+        // block, and its tasks cover every row-block case: i == j,
+        // k == i, k == j and the transposed l rows of j < l < k. One to
+        // three ranks change which rank digests which task.
+        let b = BasisSet::build(&small::water(), BasisName::B631gd);
+        assert_eq!(b.max_shell_functions(), 6);
+        let (pairs, s) = pairs_and_screening(&b);
+        let n = b.n_basis();
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
+        let d_a = density(n);
+        let mut d_b = density(n);
+        d_b.scale(0.6);
+        for dens in
+            [DensitySet::Restricted(&d_a), DensitySet::Unrestricted { alpha: &d_a, beta: &d_b }]
+        {
+            let want = build_serial(&ctx, &dens);
+            for n_ranks in 1..=3 {
+                for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
+                    let got =
+                        build_sharded(&ctx, &dens, n_ranks, mode, None, RetryPolicy::default());
+                    let label = format!(
+                        "{} channel(s), {n_ranks} ranks, {}",
+                        dens.n_channels(),
+                        mode.label()
+                    );
+                    let diff = got.g.max_abs_diff(&want.g);
+                    assert!(diff <= 1e-12, "{label}: G diff {diff:e}");
+                    if let (Some(w), Some(g)) = (&want.g_beta, &got.g_beta) {
+                        let diff = g.max_abs_diff(w);
+                        assert!(diff <= 1e-12, "{label}: beta G diff {diff:e}");
+                    }
+                    assert_eq!(got.g_beta.is_some(), want.g_beta.is_some(), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_blocks_cut_acc_runs_at_least_fourfold() {
+        // One rank, so task order and therefore the count are
+        // deterministic. The per-integral sparse buffer that the row
+        // blocks replaced issued 30,281 `acc` runs on this build; dense
+        // row blocks flushed once per row must need at most a quarter.
+        const SPARSE_BUFFER_ACC_RUNS: u64 = 30_281;
+        let b = BasisSet::build(&small::h_chain(8, 1.8), BasisName::B631gdp);
+        let (pairs, s) = pairs_and_screening(&b);
+        let d = density(b.n_basis());
+        let got = build_g_sharded(&b, &pairs, &s, 1e-12, &d, 1, DdiMode::Mpi3OneSided);
+        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        assert!(got.g.max_abs_diff(&want) < 1e-12, "diff {}", got.g.max_abs_diff(&want));
+        assert!(
+            got.stats.flushes * 4 <= SPARSE_BUFFER_ACC_RUNS,
+            "{} acc runs, more than a quarter of {SPARSE_BUFFER_ACC_RUNS}",
+            got.stats.flushes
+        );
+    }
+
+    #[test]
     fn per_rank_memory_is_sharded_not_replicated() {
-        // Big enough that the O(N) cache floors (1024 elems / 512 entries)
+        // Big enough that the O(N) buffer floors (1024 elems / 512 entries)
         // lose to the N x N matrices a replicated rank holds; tiny systems
         // like water invert the comparison because the floors dominate.
         let b = BasisSet::build(&small::h_chain(50, 2.0), BasisName::Sto3g);
@@ -298,23 +331,19 @@ mod tests {
         let sh_peak = sharded.stats.max_rank_peak();
         assert!(sh_peak < rep_peak, "sharded {sh_peak} vs replicated {rep_peak}");
         // Per-rank matrix memory (peak minus the shared read-only pair
-        // dataset) is exactly the budgeted stripe + caches.
-        let tri = crate::fock::matrix::tri_len(n);
-        let budget = 2 * tri.div_ceil(ranks) * 8
-            + crate::fock::matrix::shard_cache_elems(n) * 8
-            + crate::fock::matrix::shard_flush_entries(n) * 16;
+        // dataset) is exactly the budgeted stripes + buffers.
+        let budget = ShardBudget::new(n, b.max_shell_functions(), ranks, 1).total();
         assert_eq!(sh_peak - pairs.bytes(), budget);
     }
 
     #[test]
     fn shard_budget_never_approaches_a_full_matrix_at_scale() {
-        // The O(N) caches have small-system floors; past those, per-rank
+        // The O(N) buffers have small-system floors; past those, per-rank
         // matrix memory is a vanishing fraction of one N x N matrix (the
         // measured version of this claim runs in benches/memory_wall.rs).
+        // Six-function d shells size the row blocks, as in 6-31G(d).
         for (n, ranks) in [(500, 4), (2000, 8), (10000, 16)] {
-            let budget = 2 * crate::fock::matrix::tri_len(n).div_ceil(ranks) * 8
-                + crate::fock::matrix::shard_cache_elems(n) * 8
-                + crate::fock::matrix::shard_flush_entries(n) * 16;
+            let budget = ShardBudget::new(n, 6, ranks, 1).total();
             assert!(
                 budget < n * n * 8 / (ranks / 2),
                 "n={n} ranks={ranks}: budget {budget} vs full matrix {}",

@@ -13,6 +13,7 @@
 //! data-server variant (process count doubled, §6.2) and converts to the
 //! paper's GB units for direct Table 2 comparison.
 
+use crate::fock::matrix::ShardBudget;
 use phi_chem::geom::graphene::PaperSystem;
 use phi_dmpi::DdiMode;
 
@@ -102,17 +103,15 @@ impl MemoryModel {
     /// bytes: the tri-packed density + Fock window stripes (`N(N+1)/2`
     /// words each, divided over `total_ranks` world ranks, doubled per
     /// process by DDI data servers since the servers hold the array
-    /// segments) plus the O(N) row cache and flush buffer each compute
-    /// rank keeps. The `N^2`-per-process term that eqs. (3a)-(3c) all
+    /// segments) plus the O(N) buffers each compute rank keeps — both
+    /// priced by [`ShardBudget`], the formula the live build charges.
+    /// `max_shell_fns` is the basis's largest shell; it sizes the Fock
+    /// row blocks. The `N^2`-per-process term that eqs. (3a)-(3c) all
     /// share is gone — this is the variant that dodges the memory wall.
-    pub fn bytes_sharded(&self, total_ranks: usize) -> f64 {
-        let n = self.n_basis;
-        let tri = crate::fock::matrix::tri_len(n) as f64;
-        let stripes = 2.0 * (tri / total_ranks.max(1) as f64) * WORD;
-        let cache = crate::fock::matrix::shard_cache_elems(n) as f64 * WORD;
-        let flush = crate::fock::matrix::shard_flush_entries(n) as f64 * 16.0;
-        stripes * self.process_factor()
-            + (cache + flush) * self.mpi_per_node as f64
+    pub fn bytes_sharded(&self, total_ranks: usize, max_shell_fns: usize) -> f64 {
+        let b = ShardBudget::new(self.n_basis, max_shell_fns, total_ranks.max(1), 1);
+        b.stripe_bytes as f64 * self.process_factor()
+            + b.buffer_bytes as f64 * self.mpi_per_node as f64
             + self.pair_term()
     }
 
@@ -128,8 +127,8 @@ impl MemoryModel {
         self.bytes_shared_fock() / 1e9
     }
 
-    pub fn gb_sharded(&self, total_ranks: usize) -> f64 {
-        self.bytes_sharded(total_ranks) / 1e9
+    pub fn gb_sharded(&self, total_ranks: usize, max_shell_fns: usize) -> f64 {
+        self.bytes_sharded(total_ranks, max_shell_fns) / 1e9
     }
 }
 
@@ -248,7 +247,8 @@ mod tests {
         // collapses as ranks are added.
         let n = PaperSystem::Nm20.n_basis_functions();
         let m = MemoryModel::hybrid(n, 4, 1);
-        let sharded_64 = m.bytes_sharded(64);
+        // 6-31G(d): the largest shell is a 6-function cartesian d.
+        let sharded_64 = m.bytes_sharded(64, 6);
         assert!(
             sharded_64 < m.bytes_shared_fock() / 10.0,
             "sharded {} vs shared Fock {}",
@@ -256,12 +256,12 @@ mod tests {
             m.bytes_shared_fock()
         );
         // More world ranks -> thinner stripes, monotonically.
-        assert!(m.bytes_sharded(256) < m.bytes_sharded(64));
+        assert!(m.bytes_sharded(256, 6) < m.bytes_sharded(64, 6));
         // Data servers double the stripe term but not the rank-local
         // caches: strictly less than a full doubling.
         let ds = m.with_ddi(DdiMode::DataServer);
-        assert!(ds.bytes_sharded(64) > sharded_64);
-        assert!(ds.bytes_sharded(64) < 2.0 * sharded_64);
+        assert!(ds.bytes_sharded(64, 6) > sharded_64);
+        assert!(ds.bytes_sharded(64, 6) < 2.0 * sharded_64);
     }
 
     #[test]

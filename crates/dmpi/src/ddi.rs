@@ -210,8 +210,8 @@ pub struct DistributedArray {
     seg_len: usize,
     len: usize,
     mode: DdiMode,
-    remote_bytes: Arc<Mutex<u64>>,
-    server_messages: Arc<Mutex<u64>>,
+    remote_bytes: AtomicU64,
+    server_messages: AtomicU64,
     link: Option<Arc<WindowLink>>,
 }
 
@@ -238,8 +238,8 @@ impl DistributedArray {
             seg_len,
             len,
             mode,
-            remote_bytes: Arc::new(Mutex::new(0)),
-            server_messages: Arc::new(Mutex::new(0)),
+            remote_bytes: AtomicU64::new(0),
+            server_messages: AtomicU64::new(0),
             link: None,
         }
     }
@@ -311,14 +311,14 @@ impl DistributedArray {
                 // One-sided: only cross-rank access costs traffic.
                 DdiMode::Mpi3OneSided => {
                     if seg != caller {
-                        *self.remote_bytes.lock() += (take * 8) as u64;
+                        self.remote_bytes.fetch_add((take * 8) as u64, Ordering::Relaxed);
                     }
                 }
                 // Data servers: every access is a message to the segment
                 // owner's server process, local segments included.
                 DdiMode::DataServer => {
-                    *self.remote_bytes.lock() += (take * 8) as u64;
-                    *self.server_messages.lock() += 1;
+                    self.remote_bytes.fetch_add((take * 8) as u64, Ordering::Relaxed);
+                    self.server_messages.fetch_add(1, Ordering::Relaxed);
                 }
             }
             pos += take;
@@ -353,13 +353,13 @@ impl DistributedArray {
 
     /// Bytes that crossed rank boundaries so far.
     pub fn remote_traffic_bytes(&self) -> u64 {
-        *self.remote_bytes.lock()
+        self.remote_bytes.load(Ordering::Relaxed)
     }
 
     /// Request/response messages serviced by data-server processes.
     /// Always zero in [`DdiMode::Mpi3OneSided`].
     pub fn server_messages(&self) -> u64 {
-        *self.server_messages.lock()
+        self.server_messages.load(Ordering::Relaxed)
     }
 }
 

@@ -173,16 +173,18 @@ fn parse_algorithm(spec: &str) -> Result<FockAlgorithm, String> {
 /// shell-pair dataset included. `Serial` and `Distributed` replicate the
 /// same density + full accumulation matrices as MPI-only, so they share
 /// eq. (3a); the sharded build is the only sub-quadratic row.
-fn per_rank_estimate(alg: FockAlgorithm, n_basis: usize, pair_bytes: usize) -> f64 {
+fn per_rank_estimate(alg: FockAlgorithm, b: &BasisSet, pair_bytes: usize) -> f64 {
     let model =
-        |threads: usize| MemoryModel::hybrid(n_basis, 1, threads).with_shell_pairs(pair_bytes);
+        |threads: usize| MemoryModel::hybrid(b.n_basis(), 1, threads).with_shell_pairs(pair_bytes);
     match alg {
         FockAlgorithm::Serial => model(1).bytes_mpi_only(),
         FockAlgorithm::MpiOnly { .. } => model(1).bytes_mpi_only(),
         FockAlgorithm::PrivateFock { n_threads, .. } => model(n_threads).bytes_private_fock(),
         FockAlgorithm::SharedFock { n_threads, .. } => model(n_threads).bytes_shared_fock(),
         FockAlgorithm::Distributed { .. } => model(1).bytes_mpi_only(),
-        FockAlgorithm::Sharded { n_ranks, mode } => model(1).with_ddi(mode).bytes_sharded(n_ranks),
+        FockAlgorithm::Sharded { n_ranks, mode } => {
+            model(1).with_ddi(mode).bytes_sharded(n_ranks, b.max_shell_functions())
+        }
     }
 }
 
@@ -191,7 +193,7 @@ fn per_rank_estimate(alg: FockAlgorithm, n_basis: usize, pair_bytes: usize) -> f
 fn check_memory_budget(
     budget_mib: f64,
     alg: FockAlgorithm,
-    n_basis: usize,
+    b: &BasisSet,
     pair_bytes: usize,
 ) -> Result<(), String> {
     let mib = |bytes: f64| bytes / (1024.0 * 1024.0);
@@ -203,7 +205,7 @@ fn check_memory_budget(
         FockAlgorithm::Sharded { n_ranks, .. } => (n_ranks, 1),
     };
     let sharded = FockAlgorithm::Sharded { n_ranks: ranks, mode: DdiMode::Mpi3OneSided };
-    println!("memory model (per rank, N = {n_basis}, budget {budget_mib:.1} MiB):");
+    println!("memory model (per rank, N = {}, budget {budget_mib:.1} MiB):", b.n_basis());
     for candidate in [
         FockAlgorithm::MpiOnly { n_ranks: ranks },
         FockAlgorithm::PrivateFock { n_ranks: ranks, n_threads: threads },
@@ -211,22 +213,22 @@ fn check_memory_budget(
         FockAlgorithm::Distributed { n_ranks: ranks },
         sharded,
     ] {
-        let est = mib(per_rank_estimate(candidate, n_basis, pair_bytes));
+        let est = mib(per_rank_estimate(candidate, b, pair_bytes));
         let verdict = if est <= budget_mib { "fits" } else { "OVER BUDGET" };
         println!("  {:<12} {est:>10.2} MiB  {verdict}", candidate.label());
     }
-    let est = mib(per_rank_estimate(alg, n_basis, pair_bytes));
+    let est = mib(per_rank_estimate(alg, b, pair_bytes));
     if est > budget_mib {
         // Stripes thin as ranks are added; the O(N) caches and the
         // shell-pair dataset do not, so a fitting rank count may not exist.
         let fitting = (0..).map(|i| ranks.max(1) << i).take(13).find(|&r| {
             let s = FockAlgorithm::Sharded { n_ranks: r, mode: DdiMode::Mpi3OneSided };
-            mib(per_rank_estimate(s, n_basis, pair_bytes)) <= budget_mib
+            mib(per_rank_estimate(s, b, pair_bytes)) <= budget_mib
         });
         let hint = match fitting {
             Some(r) => {
                 let s = FockAlgorithm::Sharded { n_ranks: r, mode: DdiMode::Mpi3OneSided };
-                let sharded_est = mib(per_rank_estimate(s, n_basis, pair_bytes));
+                let sharded_est = mib(per_rank_estimate(s, b, pair_bytes));
                 format!(
                     "the sharded build fits in ~{sharded_est:.2} MiB — \
                      try --algorithm sharded:{r}"
@@ -353,7 +355,7 @@ fn run() -> Result<(), String> {
     }
     if let Some(mib) = memory_budget {
         let pair_bytes = phi_scf::integrals::ShellPairs::build(&b).bytes();
-        check_memory_budget(mib, alg, b.n_basis(), pair_bytes)?;
+        check_memory_budget(mib, alg, &b, pair_bytes)?;
     }
     let trace_session = trace_path.as_deref().map(|_| {
         if !phi_scf::trace::enabled() {
