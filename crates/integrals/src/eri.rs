@@ -14,8 +14,16 @@
 //!             sum_{TUV} (-1)^{T+U+V} E^{cd}_{TUV} R^0_{t+T, u+U, v+V}
 //! ```
 //!
-//! evaluated in two stages: the ket sum is contracted into an intermediate
-//! `W[tuv][cd-component]` once, then the bra sum runs per bra component.
+//! evaluated in two stages. Stage 1 contracts the ket sum into an
+//! intermediate `W[tuv][cd-component]`; it needs the whole primitive
+//! quartet, because `R` depends on both product centers. Stage 2, the bra
+//! Hermite-to-Cartesian transform, needs only the bra primitive pair. So
+//! the loop runs per bra primitive pair: `W` is zeroed, every surviving
+//! ket primitive pair adds its stage-1 contribution (prefactor and ket
+//! contraction weight folded in), and stage 2 runs once on the
+//! ket-contracted `W`. A contracted quartet with `n_ab` bra and `n_cd` ket
+//! primitive pairs runs `n_ab * n_cd` stage-1 passes but at most `n_ab`
+//! stage-2 passes ([`EriEngine::bra_passes_computed`]).
 //!
 //! Performance structure: all blocks of a (possibly composite SP) shell
 //! share one primitive exponent set, so the Hermite `E` tables are built
@@ -62,6 +70,9 @@ pub struct EriEngine {
     shell_quartets: u64,
     /// Number of primitive quartets actually computed.
     prim_quartets: u64,
+    /// Number of stage-2 (bra transform) passes: one per bra primitive
+    /// pair with a surviving ket primitive.
+    bra_passes: u64,
     /// Shell quartets per class slot (specialized classes + generic).
     class_quartets: [u64; N_CLASS_SLOTS],
     /// The kernel set: specialized instances + generic fallback.
@@ -81,6 +92,7 @@ impl EriEngine {
             use_kernels: true,
             shell_quartets: 0,
             prim_quartets: 0,
+            bra_passes: 0,
             class_quartets: [0; N_CLASS_SLOTS],
             kernels: ClassKernels::new(),
         }
@@ -98,6 +110,12 @@ impl EriEngine {
 
     pub fn prim_quartets_computed(&self) -> u64 {
         self.prim_quartets
+    }
+
+    /// Stage-2 passes run: at most one per bra primitive pair per quartet,
+    /// however many ket primitives survived with it.
+    pub fn bra_passes_computed(&self) -> u64 {
+        self.bra_passes
     }
 
     /// Shell quartets evaluated per class slot; index with
@@ -151,6 +169,7 @@ impl EriEngine {
             self.kernels.eval_classed(self.use_kernels, bra, ket, self.prefactor_cutoff, out);
         self.class_quartets[slot] += 1;
         self.prim_quartets += run.prim_quartets;
+        self.bra_passes += run.bra_passes;
     }
 }
 
@@ -161,8 +180,13 @@ impl EriEngine {
 /// [`crate::kernels::SPEC_LMAX`] (f shells and up).
 #[derive(Default)]
 pub struct GenericKernel {
-    /// Stage-1 intermediate `W[tuv_flat * ncd + cd]`, per ket block pair.
+    /// Ket-contracted intermediate `W[tuv_flat * ncd + cd]` over every cd
+    /// function pair, summed over the ket primitives of one bra primitive
+    /// pair.
     w: Vec<f64>,
+    /// Stage-1 staging of one ket primitive and one ket block pair,
+    /// `[tuv_flat * ncd_block + cd_block]`, added into `w` when done.
+    wblk: Vec<f64>,
     /// Stage-2 per-bra-component accumulator (ncd elements).
     acc: Vec<f64>,
     /// Reusable Hermite Coulomb table (one rebuild per primitive quartet).
@@ -179,17 +203,27 @@ impl EriKernel for GenericKernel {
     ) -> KernelRun {
         let (nb, nc, nd) = (bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
         debug_assert_eq!(out.len(), bra.a.n_fn * nb * nc * nd);
-        let mut prim_quartets = 0u64;
+        let mut run = KernelRun::default();
 
         let l_bra = bra.l_sum;
         let l_ket = ket.l_sum;
         let bra_dim = l_bra + 1;
         let n_tuv = bra_dim * bra_dim * bra_dim;
+        let ncd = nc * nd;
+        if self.w.len() < n_tuv * ncd {
+            self.w.resize(n_tuv * ncd, 0.0);
+        }
+        if self.acc.len() < ncd {
+            self.acc.resize(ncd, 0.0);
+        }
 
         // Primitive screening bound: largest possible coefficient weight.
         let coef_bound = bra.max_coef * ket.max_coef;
 
         for (ip_ab, bt) in bra.prims.iter().enumerate() {
+            let w = &mut self.w[..n_tuv * ncd];
+            w.iter_mut().for_each(|x| *x = 0.0);
+            let mut ket_survivors = false;
             for (ip_cd, kt) in ket.prims.iter().enumerate() {
                 let p = bt.p;
                 let q = kt.p;
@@ -197,7 +231,8 @@ impl EriKernel for GenericKernel {
                 if (base * bt.k * kt.k * coef_bound).abs() < prefactor_cutoff {
                     continue;
                 }
-                prim_quartets += 1;
+                run.prim_quartets += 1;
+                ket_survivors = true;
                 let alpha = p * q / (p + q);
                 // One R table per primitive quartet, reused by every block
                 // combination.
@@ -210,26 +245,27 @@ impl EriKernel for GenericKernel {
                 );
                 let r = &self.r;
 
+                // Stage 1: contract the ket Hermite expansion of this ket
+                // primitive into the staging block, once per ket block
+                // pair, then add it into W. Component normalization of c
+                // and d folds in here.
                 for (bci, blk_c) in ket.a.blocks.iter().enumerate() {
                     let comps_c = components(blk_c.l);
                     for (bdi, blk_d) in ket.b.blocks.iter().enumerate() {
                         let comps_d = components(blk_d.l);
-                        let ncd = comps_c.len() * comps_d.len();
+                        let ncd_blk = comps_c.len() * comps_d.len();
                         let wcd = ket.coef(ip_cd, bci, bdi);
                         let scale_ket = base * wcd;
                         if scale_ket == 0.0 {
                             continue;
                         }
 
-                        // Stage 1: contract the ket Hermite expansion into
-                        // W[tuv][cd], once per ket block pair. Component
-                        // normalization of c and d folds in here.
-                        let w_len = n_tuv * ncd;
-                        if self.w.len() < w_len {
-                            self.w.resize(w_len, 0.0);
+                        let blk_len = n_tuv * ncd_blk;
+                        if self.wblk.len() < blk_len {
+                            self.wblk.resize(blk_len, 0.0);
                         }
-                        let w = &mut self.w[..w_len];
-                        w.iter_mut().for_each(|x| *x = 0.0);
+                        let wblk = &mut self.wblk[..blk_len];
+                        wblk.iter_mut().for_each(|x| *x = 0.0);
                         for (icc, &(cx, cy, cz)) in comps_c.iter().enumerate() {
                             let norm_c = ket.a.norms[blk_c.off + icc];
                             for (idd, &(dx, dy, dz)) in comps_d.iter().enumerate() {
@@ -256,10 +292,11 @@ impl EriKernel for GenericKernel {
                                             for t in 0..=l_bra {
                                                 for u in 0..=(l_bra - t) {
                                                     for v in 0..=(l_bra - t - u) {
-                                                        let widx =
-                                                            ((t * bra_dim + u) * bra_dim + v) * ncd
-                                                                + cdi;
-                                                        w[widx] +=
+                                                        let widx = ((t * bra_dim + u) * bra_dim
+                                                            + v)
+                                                            * ncd_blk
+                                                            + cdi;
+                                                        wblk[widx] +=
                                                             e_ket * r.get(t + tau, u + nu, v + phi);
                                                     }
                                                 }
@@ -269,80 +306,84 @@ impl EriKernel for GenericKernel {
                                 }
                             }
                         }
-
-                        // Stage 2: bra expansion, every bra block pair, with
-                        // a/b component normalization folded into the
-                        // accumulation weight.
-                        for (bai, blk_a) in bra.a.blocks.iter().enumerate() {
-                            let comps_a = components(blk_a.l);
-                            for (bbi, blk_b) in bra.b.blocks.iter().enumerate() {
-                                let comps_b = components(blk_b.l);
-                                let wab = bra.coef(ip_ab, bai, bbi);
-                                if wab == 0.0 {
-                                    continue;
-                                }
-                                for (iaa, &(ax, ay, az)) in comps_a.iter().enumerate() {
-                                    let wab_a = wab * bra.a.norms[blk_a.off + iaa];
-                                    for (ibb, &(bx, by, bz)) in comps_b.iter().enumerate() {
-                                        if self.acc.len() < ncd {
-                                            self.acc.resize(ncd, 0.0);
-                                        }
-                                        let acc = &mut self.acc[..ncd];
-                                        acc.iter_mut().for_each(|x| *x = 0.0);
-                                        for t in 0..=(ax + bx) {
-                                            let etx = bt.ex.get(ax, bx, t);
-                                            if etx == 0.0 {
-                                                continue;
-                                            }
-                                            for u in 0..=(ay + by) {
-                                                let ety = bt.ey.get(ay, by, u);
-                                                if ety == 0.0 {
-                                                    continue;
-                                                }
-                                                for v in 0..=(az + bz) {
-                                                    let etz = bt.ez.get(az, bz, v);
-                                                    if etz == 0.0 {
-                                                        continue;
-                                                    }
-                                                    let e_bra = etx * ety * etz;
-                                                    let row = &self.w[((t * bra_dim + u) * bra_dim
-                                                        + v)
-                                                        * ncd
-                                                        ..((t * bra_dim + u) * bra_dim + v) * ncd
-                                                            + ncd];
-                                                    for (a, rv) in acc.iter_mut().zip(row) {
-                                                        *a += e_bra * rv;
-                                                    }
-                                                }
-                                            }
-                                        }
-                                        let wab_full = wab_a * bra.b.norms[blk_b.off + ibb];
-                                        let obase = ((blk_a.off + iaa) * nb + blk_b.off + ibb) * nc;
-                                        for icc in 0..comps_c.len() {
-                                            for idd in 0..comps_d.len() {
-                                                let cdi = icc * comps_d.len() + idd;
-                                                let oidx = (obase + blk_c.off + icc) * nd
-                                                    + blk_d.off
-                                                    + idd;
-                                                out[oidx] += wab_full * acc[cdi];
-                                            }
-                                        }
-                                    }
+                        let w = &mut self.w[..n_tuv * ncd];
+                        for tuv in 0..n_tuv {
+                            for icc in 0..comps_c.len() {
+                                for idd in 0..comps_d.len() {
+                                    let cd = (blk_c.off + icc) * nd + blk_d.off + idd;
+                                    w[tuv * ncd + cd] +=
+                                        wblk[tuv * ncd_blk + icc * comps_d.len() + idd];
                                 }
                             }
                         }
                     }
                 }
             }
+            if !ket_survivors {
+                continue;
+            }
+
+            // Stage 2, once per bra primitive pair on the ket-contracted
+            // W: bra expansion, every bra block pair, with a/b component
+            // normalization folded into the accumulation weight.
+            run.bra_passes += 1;
+            let w = &self.w[..n_tuv * ncd];
+            for (bai, blk_a) in bra.a.blocks.iter().enumerate() {
+                let comps_a = components(blk_a.l);
+                for (bbi, blk_b) in bra.b.blocks.iter().enumerate() {
+                    let comps_b = components(blk_b.l);
+                    let wab = bra.coef(ip_ab, bai, bbi);
+                    if wab == 0.0 {
+                        continue;
+                    }
+                    for (iaa, &(ax, ay, az)) in comps_a.iter().enumerate() {
+                        let wab_a = wab * bra.a.norms[blk_a.off + iaa];
+                        for (ibb, &(bx, by, bz)) in comps_b.iter().enumerate() {
+                            let acc = &mut self.acc[..ncd];
+                            acc.iter_mut().for_each(|x| *x = 0.0);
+                            for t in 0..=(ax + bx) {
+                                let etx = bt.ex.get(ax, bx, t);
+                                if etx == 0.0 {
+                                    continue;
+                                }
+                                for u in 0..=(ay + by) {
+                                    let ety = bt.ey.get(ay, by, u);
+                                    if ety == 0.0 {
+                                        continue;
+                                    }
+                                    for v in 0..=(az + bz) {
+                                        let etz = bt.ez.get(az, bz, v);
+                                        if etz == 0.0 {
+                                            continue;
+                                        }
+                                        let e_bra = etx * ety * etz;
+                                        let tuv = (t * bra_dim + u) * bra_dim + v;
+                                        let row = &w[tuv * ncd..tuv * ncd + ncd];
+                                        for (a, rv) in acc.iter_mut().zip(row) {
+                                            *a += e_bra * rv;
+                                        }
+                                    }
+                                }
+                            }
+                            let wab_full = wab_a * bra.b.norms[blk_b.off + ibb];
+                            let obase = ((blk_a.off + iaa) * nb + blk_b.off + ibb) * ncd;
+                            let orow = &mut out[obase..obase + ncd];
+                            for (o, a) in orow.iter_mut().zip(acc.iter()) {
+                                *o += wab_full * *a;
+                            }
+                        }
+                    }
+                }
+            }
         }
-        KernelRun { prim_quartets }
+        run
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phi_chem::basis::{AngBlock, BasisName, BasisSet};
+    use phi_chem::basis::{custom_shell, AngBlock, BasisName, BasisSet};
     use phi_chem::geom::small;
 
     fn prim_shell(l: usize, alpha: f64, center: [f64; 3]) -> Shell {
@@ -582,6 +623,32 @@ mod tests {
         }
         assert!(spec.spec_quartets_computed() > 0);
         assert_eq!(generic.spec_quartets_computed(), 0);
+    }
+
+    #[test]
+    fn stage_two_runs_once_per_bra_primitive_pair() {
+        // (L3 L3|L3 L3): composite SP shells of three primitives each, so
+        // 9 bra and 9 ket primitive pairs, none dropped at cutoff 0.
+        let l3 = |center: [f64; 3]| {
+            custom_shell(
+                0,
+                center,
+                vec![3.0, 0.7, 0.2],
+                &[(0, vec![-0.1, 0.4, 0.7]), (1, vec![0.2, 0.5, 0.6])],
+            )
+        };
+        let (a, b) = (l3([0.0, 0.0, 0.0]), l3([0.0, 0.3, 1.2]));
+        let (c, d) = (l3([1.1, -0.4, 0.2]), l3([-0.6, 0.9, 0.5]));
+        let bra = ShellPair::build(0, 1, &a, &b, 0.0);
+        let ket = ShellPair::build(2, 3, &c, &d, 0.0);
+        for (mut e, spec) in [(EriEngine::new(), 1), (EriEngine::generic_only(), 0)] {
+            e.prefactor_cutoff = 0.0;
+            let mut out = vec![0.0; 4 * 4 * 4 * 4];
+            e.shell_quartet_pairs(&bra, &ket, &mut out);
+            assert_eq!(e.spec_quartets_computed(), spec);
+            assert_eq!(e.prim_quartets_computed(), 81);
+            assert_eq!(e.bra_passes_computed(), 9);
+        }
     }
 
     #[test]

@@ -28,13 +28,20 @@
 //! 2. **Batched Boys evaluation**: one [`boys_batch`] pass fills a
 //!    contiguous `F_0..F_{l_bra+l_ket}` stripe per surviving lane.
 //! 3. **Hermite recursion + two-stage contraction** with const-generic loop
-//!    bounds: the `R` recursion skips the dense-cube zero-fill (the
-//!    dominant per-quartet cost for d-heavy classes — see
-//!    `rints::fill_r0_into`), the Hermite `E` triple products come
-//!    replayed from the pair datasets' precomputed sparse [`E3Sparse`]
-//!    entries instead of walking dense tables, and the stage-1 inner loops
-//!    run unit-stride over a simplex-packed `W` scratch so rustc
-//!    autovectorizes them.
+//!    bounds, grouped by bra primitive pair. Survivors are compacted
+//!    `ip_ab`-major, so each bra primitive pair's survivors are one
+//!    contiguous run. Per run, `W` is zeroed; each survivor of the run
+//!    fills its `R` table (skipping the dense-cube zero-fill, the dominant
+//!    per-quartet cost for d-heavy classes — see `rints::fill_r0_into`)
+//!    and adds its stage-1 ket contraction into `W`; then stage 2, the bra
+//!    transform, runs once on the ket-contracted `W`. The Hermite `E`
+//!    triple products come replayed from the pair datasets' precomputed
+//!    sparse [`E3Sparse`] entries instead of walking dense tables. Each
+//!    survivor's `R` values are first gathered into one contiguous slab
+//!    per ket Hermite index, in the bra simplex order of the packed `W`,
+//!    so every ket `E` entry is a single unit-stride loop that rustc
+//!    autovectorizes. The gather only copies values; each `W` slot sees
+//!    the same multiply-adds in the same order as before.
 //!
 //! **Parity contract.** A specialized kernel is not "close to" the generic
 //! path — it replays the *same arithmetic in the same order*: the same
@@ -42,7 +49,9 @@
 //! factor, Boys values from the same scalar evaluator, the `R` recursion
 //! through the shared `fill_r0_into` core, `E` products stored in generic
 //! iteration order with the parity sign applied as an exact IEEE negation,
-//! and per-output-element accumulation in the same survivor/entry order.
+//! and per-output-element accumulation in the same survivor/entry order:
+//! entries into a staging row, staging rows into `W` by ascending ket
+//! primitive, bra passes into the output by ascending bra primitive.
 //! Results agree with the generic path to the last bit (up to the sign of
 //! exact zeros); `tests/kernel_parity.rs` enforces `<= 1e-14` per integral
 //! across seeded random geometries, exponents, contraction depths and
@@ -62,6 +71,9 @@ const PI: f64 = std::f64::consts::PI;
 /// specialized kernel. 4 covers `dd` bra/ket pairs — every class of an
 /// s/p/SP/d basis like 6-31G(d).
 pub const SPEC_LMAX: usize = 4;
+
+/// Hermite simplex size `(l+1)(l+2)(l+3)/6` at `l = SPEC_LMAX`.
+const MAX_SIMPLEX: usize = (SPEC_LMAX + 1) * (SPEC_LMAX + 2) * (SPEC_LMAX + 3) / 6;
 
 /// Number of specialized `(l_bra, l_ket)` classes.
 pub const N_SPEC: usize = (SPEC_LMAX + 1) * (SPEC_LMAX + 1);
@@ -130,6 +142,9 @@ pub const CLASS_TRACE_NAMES: [&str; N_CLASS_SLOTS] = [
 pub struct KernelRun {
     /// Primitive quartets that survived screening and were computed.
     pub prim_quartets: u64,
+    /// Stage-2 (bra Hermite-to-Cartesian) passes: one per bra primitive
+    /// pair with at least one surviving ket primitive.
+    pub bra_passes: u64,
 }
 
 /// The common contract of the generic path and the specialized kernels:
@@ -170,9 +185,13 @@ pub struct KernelScratch {
     /// Rolling buffers of the shared `R` recursion (no zero-fill mode).
     r_prev: Vec<f64>,
     r_cur: Vec<f64>,
-    /// Stage-1 intermediate `W[simplex_tuv * ncd + cd]` (simplex-packed).
+    /// `R` gathered per ket Hermite index: `slabs[k * ntuv + sidx]`, both
+    /// indices simplex-packed.
+    slabs: Vec<f64>,
+    /// Ket-contracted intermediate `W[simplex_tuv * ncd + cd]`
+    /// (simplex-packed), summed over one bra primitive pair's survivors.
     w: Vec<f64>,
-    /// Per-(cd function pair) unit-stride staging row of stage 1.
+    /// Per-(survivor, cd function pair) unit-stride staging row of stage 1.
     wtmp: Vec<f64>,
     /// Stage-2 per-bra-function-pair accumulator.
     acc: Vec<f64>,
@@ -180,7 +199,6 @@ pub struct KernelScratch {
 
 /// One monomorphized class kernel: `LB`/`LK` are the combined bra/ket
 /// angular momenta, so every loop bound below is a compile-time constant.
-/// Returns the number of primitive quartets computed.
 ///
 /// Bitwise-parity notes are inline at each stage; the scheme and operation
 /// order mirror `GenericKernel::eval` exactly.
@@ -190,20 +208,45 @@ fn eval_spec<const LB: usize, const LK: usize>(
     ket: &ShellPair,
     prefactor_cutoff: f64,
     out: &mut [f64],
-) -> u64 {
+) -> KernelRun {
     let l_total = LB + LK;
     let rdim = l_total + 1;
     let ntuv = (LB + 1) * (LB + 2) * (LB + 3) / 6;
 
+    let ntuv_ket = (LK + 1) * (LK + 2) * (LK + 3) / 6;
+
     // Row offsets of the simplex-packed W index:
-    // sidx(t,u,v) = offs[t*(LB+1) + u] + v, for t+u+v <= LB.
+    // sidx(t,u,v) = offs[t*(LB+1) + u] + v, for t+u+v <= LB. Alongside,
+    // the dense-cube R offset of each bra simplex slot,
+    // roff[sidx] = (t*rdim + u)*rdim + v.
     let mut offs = [0u16; (SPEC_LMAX + 1) * (SPEC_LMAX + 1)];
+    let mut roff = [0u16; MAX_SIMPLEX];
     {
         let mut a = 0u16;
         for t in 0..=LB {
             for u in 0..=(LB - t) {
                 offs[t * (LB + 1) + u] = a;
+                for v in 0..=(LB - t - u) {
+                    roff[a as usize + v] = ((t * rdim + u) * rdim + v) as u16;
+                }
                 a += (LB - t - u + 1) as u16;
+            }
+        }
+    }
+    // The same for the ket simplex: a ket E entry (tau,nu,phi) reads the
+    // R slab koffs[tau*(LK+1) + nu] + phi, which starts at the cube offset
+    // kbase[that slab] = (tau*rdim + nu)*rdim + phi.
+    let mut koffs = [0u16; (SPEC_LMAX + 1) * (SPEC_LMAX + 1)];
+    let mut kbase = [0u16; MAX_SIMPLEX];
+    {
+        let mut a = 0u16;
+        for tau in 0..=LK {
+            for nu in 0..=(LK - tau) {
+                koffs[tau * (LK + 1) + nu] = a;
+                for phi in 0..=(LK - tau - nu) {
+                    kbase[a as usize + phi] = ((tau * rdim + nu) * rdim + phi) as u16;
+                }
+                a += (LK - tau - nu + 1) as u16;
             }
         }
     }
@@ -248,7 +291,7 @@ fn eval_spec<const LB: usize, const LK: usize>(
     }
     let nsurv = s.base.len();
     if nsurv == 0 {
-        return 0;
+        return KernelRun::default();
     }
 
     // Phase B: one batched Boys pass, a contiguous F_0..F_{l_total} stripe
@@ -258,9 +301,11 @@ fn eval_spec<const LB: usize, const LK: usize>(
     }
     boys_batch(l_total, &s.targ, &mut s.fm);
 
-    // Phase C: per survivor, the shared R recursion (zero-fill skipped: the
-    // contraction below reads only on-simplex entries) and both contraction
-    // stages with const bounds.
+    // Phase C: survivors are compacted ip_ab-major, so the survivors of
+    // one bra primitive pair form a contiguous run. Per run, W is zeroed,
+    // every surviving ket primitive adds its stage-1 contribution (after
+    // its own R recursion, zero-fill skipped: the contraction reads only
+    // on-simplex entries), and stage 2 runs once on the ket-contracted W.
     let (nfa, nfb, nfc, nfd) = (bra.a.n_fn, bra.b.n_fn, ket.a.n_fn, ket.b.n_fn);
     let ncd = nfc * nfd;
     if s.w.len() < ntuv * ncd {
@@ -269,75 +314,94 @@ fn eval_spec<const LB: usize, const LK: usize>(
     if s.wtmp.len() < ntuv {
         s.wtmp.resize(ntuv, 0.0);
     }
+    if s.slabs.len() < ntuv_ket * ntuv {
+        s.slabs.resize(ntuv_ket * ntuv, 0.0);
+    }
     if s.acc.len() < ncd {
         s.acc.resize(ncd, 0.0);
     }
 
-    for qi in 0..nsurv {
-        let base = s.base[qi];
-        fill_r0_into(
-            l_total,
-            s.alpha[qi],
-            s.dx[qi],
-            s.dy[qi],
-            s.dz[qi],
-            &s.fm[qi * rdim..(qi + 1) * rdim],
-            &mut s.r_prev,
-            &mut s.r_cur,
-            false,
-        );
-        let r: &[f64] = &s.r_prev;
-        let ip_cd = s.ip_cd[qi] as usize;
+    let mut bra_passes = 0u64;
+    let mut run_start = 0;
+    while run_start < nsurv {
+        let ip_ab = s.ip_ab[run_start];
+        let run_len = s.ip_ab[run_start..].iter().take_while(|&&i| i == ip_ab).count();
+        let ip_ab = ip_ab as usize;
+        s.w[..ntuv * ncd].iter_mut().for_each(|x| *x = 0.0);
 
-        // Stage 1: ket contraction into W[sidx * ncd + cdi]. Per cd function
-        // pair the precomputed sparse E entries are replayed in generic
-        // iteration order into a unit-stride staging row, then placed into
-        // the cd column. Per W slot the accumulation order (entries of its
-        // own function pair, ascending) is exactly the generic path's.
-        let w = &mut s.w[..ntuv * ncd];
-        w.iter_mut().for_each(|x| *x = 0.0);
-        for fc in 0..nfc {
-            let bci = ket.a.fn_block[fc] as usize;
-            let norm_c = ket.a.norms[fc];
-            for fd in 0..nfd {
-                let cdi = fc * nfd + fd;
-                let wcd = ket.coef(ip_cd, bci, ket.b.fn_block[fd] as usize);
-                let scale_ket = base * wcd;
-                if scale_ket == 0.0 {
-                    continue;
+        for qi in run_start..run_start + run_len {
+            let base = s.base[qi];
+            fill_r0_into(
+                l_total,
+                s.alpha[qi],
+                s.dx[qi],
+                s.dy[qi],
+                s.dz[qi],
+                &s.fm[qi * rdim..(qi + 1) * rdim],
+                &mut s.r_prev,
+                &mut s.r_cur,
+                false,
+            );
+            // Gather R into one contiguous slab per ket Hermite index,
+            // slabs[k * ntuv + sidx] = R[t+tau, u+nu, v+phi], so each
+            // stage-1 entry below is a single unit-stride ntuv-long loop.
+            let r: &[f64] = &s.r_prev;
+            let slabs = &mut s.slabs[..ntuv_ket * ntuv];
+            for (slab, &kb) in slabs.chunks_exact_mut(ntuv).zip(&kbase[..ntuv_ket]) {
+                let rk = &r[kb as usize..];
+                for (x, &ro) in slab.iter_mut().zip(&roff[..ntuv]) {
+                    *x = rk[ro as usize];
                 }
-                let scale_cd = scale_ket * norm_c * ket.b.norms[fd];
-                let (tuvs, vals) = ket.e3.entries(ip_cd, fc, fd);
-                let wtmp = &mut s.wtmp[..ntuv];
-                wtmp.iter_mut().for_each(|x| *x = 0.0);
-                for (ei, tuv) in tuvs.iter().enumerate() {
-                    let (tau, nu, phi) = (tuv[0] as usize, tuv[1] as usize, tuv[2] as usize);
-                    // Generic: (((sign*etx)*ety)*etz)*scale_cd. Negation is
-                    // exact, so sign-after-product is bitwise identical.
-                    let v0 = vals[ei] * scale_cd;
-                    let e_ket = if (tau + nu + phi) % 2 == 1 { -v0 } else { v0 };
-                    for t in 0..=LB {
-                        let rt = (t + tau) * rdim;
-                        for u in 0..=(LB - t) {
-                            let row = offs[t * (LB + 1) + u] as usize;
-                            let rbase = (rt + u + nu) * rdim + phi;
-                            for v in 0..=(LB - t - u) {
-                                wtmp[row + v] += e_ket * r[rbase + v];
-                            }
+            }
+            let slabs = &s.slabs[..ntuv_ket * ntuv];
+            let ip_cd = s.ip_cd[qi] as usize;
+
+            // Stage 1: ket contraction into W[sidx * ncd + cdi]. Per cd
+            // function pair the precomputed sparse E entries are replayed
+            // in generic iteration order into a unit-stride staging row,
+            // which is then added into the cd column. Per W slot the order
+            // (entries of its own function pair ascending, then ket
+            // primitives ascending) is exactly the generic path's.
+            let w = &mut s.w[..ntuv * ncd];
+            for fc in 0..nfc {
+                let bci = ket.a.fn_block[fc] as usize;
+                let norm_c = ket.a.norms[fc];
+                for fd in 0..nfd {
+                    let cdi = fc * nfd + fd;
+                    let wcd = ket.coef(ip_cd, bci, ket.b.fn_block[fd] as usize);
+                    let scale_ket = base * wcd;
+                    if scale_ket == 0.0 {
+                        continue;
+                    }
+                    let scale_cd = scale_ket * norm_c * ket.b.norms[fd];
+                    let (tuvs, vals) = ket.e3.entries(ip_cd, fc, fd);
+                    let wtmp = &mut s.wtmp[..ntuv];
+                    wtmp.iter_mut().for_each(|x| *x = 0.0);
+                    for (ei, tuv) in tuvs.iter().enumerate() {
+                        let (tau, nu, phi) = (tuv[0] as usize, tuv[1] as usize, tuv[2] as usize);
+                        // Generic: (((sign*etx)*ety)*etz)*scale_cd. Negation
+                        // is exact, so sign-after-product is bitwise
+                        // identical.
+                        let v0 = vals[ei] * scale_cd;
+                        let e_ket = if (tau + nu + phi) % 2 == 1 { -v0 } else { v0 };
+                        let k = koffs[tau * (LK + 1) + nu] as usize + phi;
+                        let slab = &slabs[k * ntuv..(k + 1) * ntuv];
+                        for (wv, &rv) in wtmp.iter_mut().zip(slab) {
+                            *wv += e_ket * rv;
                         }
                     }
-                }
-                for (sidx, &wv) in wtmp.iter().enumerate() {
-                    w[sidx * ncd + cdi] = wv;
+                    for (sidx, &wv) in wtmp.iter().enumerate() {
+                        w[sidx * ncd + cdi] += wv;
+                    }
                 }
             }
         }
 
-        // Stage 2: bra expansion. Per bra function pair, replay the sparse
-        // bra E entries (entry order = generic order) against the packed W
-        // rows; the inner cd loop is unit-stride, as in the generic path.
+        // Stage 2, once per bra primitive pair: per bra function pair,
+        // replay the sparse bra E entries (entry order = generic order)
+        // against the packed W rows; the inner cd loop is unit-stride, as
+        // in the generic path.
         let w = &s.w[..ntuv * ncd];
-        let ip_ab = s.ip_ab[qi] as usize;
         for fa in 0..nfa {
             let bai = bra.a.fn_block[fa] as usize;
             let norm_a = bra.a.norms[fa];
@@ -366,8 +430,10 @@ fn eval_spec<const LB: usize, const LK: usize>(
                 }
             }
         }
+        bra_passes += 1;
+        run_start += run_len;
     }
-    nsurv as u64
+    KernelRun { prim_quartets: nsurv as u64, bra_passes }
 }
 
 /// Dispatch a specialized class slot to its monomorphized instance.
@@ -379,7 +445,7 @@ fn eval_spec_dispatch(
     ket: &ShellPair,
     prefactor_cutoff: f64,
     out: &mut [f64],
-) -> u64 {
+) -> KernelRun {
     macro_rules! arm {
         ($lb:literal, $lk:literal) => {
             eval_spec::<$lb, $lk>(s, bra, ket, prefactor_cutoff, out)
@@ -444,8 +510,7 @@ impl ClassKernels {
     ) -> (usize, KernelRun) {
         let ci = class_index(bra.l_sum, ket.l_sum);
         if use_spec && ci != GENERIC_SLOT {
-            let n = eval_spec_dispatch(ci, &mut self.scratch, bra, ket, prefactor_cutoff, out);
-            (ci, KernelRun { prim_quartets: n })
+            (ci, eval_spec_dispatch(ci, &mut self.scratch, bra, ket, prefactor_cutoff, out))
         } else {
             (GENERIC_SLOT, self.generic.eval(bra, ket, prefactor_cutoff, out))
         }

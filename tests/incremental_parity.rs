@@ -21,6 +21,17 @@ use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
 use phi_scf::chem::Molecule;
 use phi_scf::hf::{run_scf, run_uhf, FockAlgorithm, FockBuildStats, ScfConfig, UhfConfig};
+use std::sync::{Mutex, MutexGuard};
+
+/// Every test in this file holds this lock for its whole run. With
+/// `--features trace` the trace sink is process-global: an SCF run in a
+/// concurrently running test would add its counters to the traced test's
+/// session and break the exact reconciliation.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn algorithms() -> [FockAlgorithm; 4] {
     [
@@ -73,6 +84,7 @@ fn check_quartet_discipline(label: &str, stats: &[FockBuildStats]) {
 
 #[test]
 fn rhf_incremental_matches_full_under_every_algorithm() {
+    let _serial = serial();
     for (mol, basis) in systems() {
         let b = BasisSet::build(&mol, basis);
         for algorithm in algorithms() {
@@ -99,6 +111,7 @@ fn rhf_incremental_matches_full_under_every_algorithm() {
 
 #[test]
 fn uhf_incremental_matches_full_under_every_algorithm() {
+    let _serial = serial();
     // Closed-shell water driven through the spin-resolved code path, and a
     // genuinely open-shell doublet H3 chain (triplet H2 would converge in
     // one iteration, leaving no incremental stretch to exercise).
@@ -129,6 +142,7 @@ fn uhf_incremental_matches_full_under_every_algorithm() {
 
 #[test]
 fn frequent_full_rebuilds_stay_bit_identical_with_the_plain_driver() {
+    let _serial = serial();
     // full_rebuild_every = 1 means *every* build is a full rebuild under
     // static screening — the incremental machinery must then be a no-op,
     // bit for bit, since full rebuilds bypass the ΔD path entirely.
@@ -156,6 +170,7 @@ mod traced {
 
     #[test]
     fn incremental_run_counters_reconcile_exactly_with_stats() {
+        let _serial = serial();
         let mol = small::water();
         let b = BasisSet::build(&mol, BasisName::Sto3g);
         let config = ScfConfig {

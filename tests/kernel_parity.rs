@@ -14,7 +14,7 @@
 //! Seeds sweep through `PHI_KERNEL_SEEDS` (comma-separated), the same
 //! pattern the fault matrix uses with `PHI_FAULT_SEEDS`; CI runs four.
 
-use phi_scf::chem::basis::custom_shell;
+use phi_scf::chem::basis::{custom_shell, AngBlock};
 use phi_scf::chem::Shell;
 use phi_scf::integrals::EriEngine;
 
@@ -65,6 +65,13 @@ const KINDS: [&str; 4] = ["S", "P", "D", "SP"];
 /// `depth` primitives (1..=6).
 fn class_shell(rng: &mut Rng, kind: usize, depth: usize, center: [f64; 3]) -> Shell {
     let exps: Vec<f64> = (0..depth).map(|_| rng.range(0.12, 5.0)).collect();
+    shell_with_exps(rng, kind, exps, center)
+}
+
+/// A shell of the given class with fixed exponents and random
+/// contraction coefficients.
+fn shell_with_exps(rng: &mut Rng, kind: usize, exps: Vec<f64>, center: [f64; 3]) -> Shell {
+    let depth = exps.len();
     let mut coefs = || -> Vec<f64> {
         (0..depth)
             .map(|_| rng.range(0.2, 1.0) * if rng.unit() < 0.3 { -1.0 } else { 1.0 })
@@ -282,4 +289,191 @@ fn screened_quartets_match_generic() {
             "both paths must screen identically"
         );
     }
+}
+
+/// One contracted shell split into single-primitive shells with unit
+/// coefficients (same blocks, so the same function layout), plus each
+/// function's contraction coefficient per primitive: `coefs[f][k]`.
+fn split_shell(shell: &Shell) -> (Vec<Shell>, Vec<Vec<f64>>) {
+    let prims = shell
+        .exps
+        .iter()
+        .map(|&alpha| Shell {
+            exps: vec![alpha],
+            blocks: shell.blocks.iter().map(|b| AngBlock { l: b.l, coefs: vec![1.0] }).collect(),
+            ..shell.clone()
+        })
+        .collect();
+    let coefs = shell
+        .blocks
+        .iter()
+        .flat_map(|b| std::iter::repeat_n(b.coefs.clone(), (b.l + 1) * (b.l + 2) / 2))
+        .collect();
+    (prims, coefs)
+}
+
+/// The contracted quartet rebuilt from its primitive quartets: every
+/// combination of single-primitive shells is evaluated on its own (one
+/// bra and one ket primitive pair, so no contraction happens inside the
+/// engine) and weighted by the four contraction coefficients.
+fn split_reference(engine: &mut EriEngine, shells: [&Shell; 4]) -> Vec<f64> {
+    let parts: Vec<(Vec<Shell>, Vec<Vec<f64>>)> = shells.iter().map(|s| split_shell(s)).collect();
+    let n: Vec<usize> = shells.iter().map(|s| s.n_functions()).collect();
+    let len = n.iter().product();
+    let mut out = vec![0.0; len];
+    let mut prim = vec![0.0; len];
+    let (pa, pb, pc, pd) = (&parts[0], &parts[1], &parts[2], &parts[3]);
+    for (i, sa) in pa.0.iter().enumerate() {
+        for (j, sb) in pb.0.iter().enumerate() {
+            for (k, sc) in pc.0.iter().enumerate() {
+                for (l, sd) in pd.0.iter().enumerate() {
+                    engine.shell_quartet(sa, sb, sc, sd, &mut prim);
+                    let mut idx = 0;
+                    for fa in 0..n[0] {
+                        for fb in 0..n[1] {
+                            let wab = pa.1[fa][i] * pb.1[fb][j];
+                            for fc in 0..n[2] {
+                                for fd in 0..n[3] {
+                                    out[idx] += wab * pc.1[fc][k] * pd.1[fd][l] * prim[idx];
+                                    idx += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Assert the contracted quartet agrees with its primitive-split
+/// reference to 1e-13 relative to the quartet's largest integral.
+fn assert_matches_split(
+    engine: &mut EriEngine,
+    reference: &mut EriEngine,
+    shells: [&Shell; 4],
+    what: &str,
+) {
+    let [a, b, c, d] = shells;
+    let mut v = vec![0.0; a.n_functions() * b.n_functions() * c.n_functions() * d.n_functions()];
+    engine.shell_quartet(a, b, c, d, &mut v);
+    let want = split_reference(reference, shells);
+    let scale = want.iter().fold(0.0f64, |m, x| m.max(x.abs()));
+    assert!(scale > 0.0, "{what}: reference quartet is identically zero");
+    for (k, (x, y)) in v.iter().zip(&want).enumerate() {
+        assert!(
+            (x - y).abs() <= 1e-13 * scale,
+            "{what}: element {k}: contracted {x:.17e} vs split reference {y:.17e} \
+             (largest integral {scale:.3e})"
+        );
+    }
+}
+
+/// Both paths against a reference that never contracts inside the
+/// engine: random classes, mixed contraction depths on every shell, so
+/// bra and ket primitive-pair counts differ and each bra primitive pair
+/// sums a different number of ket primitives before its bra transform.
+#[test]
+fn contracted_quartets_match_their_primitive_split() {
+    for seed in seeds() {
+        let mut rng = Rng::new(seed ^ 0x5711);
+        let mut reference = EriEngine::generic_only();
+        reference.prefactor_cutoff = 0.0;
+        for mut engine in [EriEngine::new(), EriEngine::generic_only()] {
+            engine.prefactor_cutoff = 0.0;
+            for case in 0..8 {
+                let kinds = [rng.index(4), rng.index(4), rng.index(4), rng.index(4)];
+                let depths =
+                    [1 + rng.index(3), 1 + rng.index(3), 1 + rng.index(3), 1 + rng.index(3)];
+                let s: Vec<Shell> =
+                    (0..4).map(|i| rand_shell(&mut rng, kinds[i], depths[i])).collect();
+                let what = format!(
+                    "seed {seed}, {} path, case {case}, class {}{}{}{}, depths {depths:?}",
+                    if engine.use_kernels { "kernel" } else { "generic" },
+                    KINDS[kinds[0]],
+                    KINDS[kinds[1]],
+                    KINDS[kinds[2]],
+                    KINDS[kinds[3]]
+                );
+                assert_matches_split(
+                    &mut engine,
+                    &mut reference,
+                    [&s[0], &s[1], &s[2], &s[3]],
+                    &what,
+                );
+            }
+        }
+    }
+}
+
+/// Screened quartets whose primitive groups are cut by the prefactor
+/// screen, on both paths: parity with each other, exact pass and
+/// primitive-quartet counts, and agreement with the unscreened split
+/// reference (the dropped primitive quartets' screen values are many
+/// orders of magnitude under the 1e-13 tolerance).
+#[allow(clippy::needless_range_loop)] // index drives both shells and labels
+fn check_partial_groups(
+    bra_exps: [[f64; 2]; 2],
+    r_ab: f64,
+    ket_exps: [[f64; 2]; 2],
+    r_cd: f64,
+    prim_quartets: u64,
+    bra_passes: u64,
+    what: &str,
+) {
+    let mut rng = Rng::new(0x6A0);
+    let mut reference = EriEngine::generic_only();
+    reference.prefactor_cutoff = 0.0;
+    for ka in 0..KINDS.len() {
+        for kc in 0..KINDS.len() {
+            let (kb, kd) = ((ka + 1) % 4, (kc + 3) % 4);
+            let a = shell_with_exps(&mut rng, ka, bra_exps[0].to_vec(), [0.0, 0.0, 0.0]);
+            let b = shell_with_exps(&mut rng, kb, bra_exps[1].to_vec(), [0.0, 0.0, r_ab]);
+            let c = shell_with_exps(&mut rng, kc, ket_exps[0].to_vec(), [0.5, 0.4, 0.7]);
+            let d = shell_with_exps(&mut rng, kd, ket_exps[1].to_vec(), [0.5, 0.4 + r_cd, 0.7]);
+            let what =
+                format!("{what}, class {}{}{}{}", KINDS[ka], KINDS[kb], KINDS[kc], KINDS[kd]);
+            let mut spec = EriEngine::new();
+            let mut generic = EriEngine::generic_only();
+            assert_parity(&mut spec, &mut generic, &a, &b, &c, &d, &what);
+            for engine in [&mut spec, &mut generic] {
+                assert_eq!(engine.prim_quartets_computed(), prim_quartets, "{what}");
+                assert_eq!(engine.bra_passes_computed(), bra_passes, "{what}");
+                assert_matches_split(engine, &mut reference, [&a, &b, &c, &d], &what);
+            }
+        }
+    }
+}
+
+/// The screen drops one ket primitive pair (the tight, far-apart one, in
+/// the middle of the ket order) against every bra primitive pair: each
+/// bra pass sums three of its four ket primitives.
+#[test]
+fn partially_screened_ket_groups_match() {
+    check_partial_groups(
+        [[0.3, 9.0], [0.3, 9.0]],
+        1.5,
+        [[20.0, 0.3], [0.3, 20.0]],
+        2.5,
+        12,
+        4,
+        "ket pair 1 screened under every bra pair",
+    );
+}
+
+/// The screen drops every ket primitive of one bra primitive pair (the
+/// tight, far-apart one, in the middle of the bra order): that pair gets
+/// no bra pass at all, and its neighbours are unaffected.
+#[test]
+fn fully_screened_bra_group_is_skipped() {
+    check_partial_groups(
+        [[0.3, 30.0], [30.0, 0.3]],
+        2.0,
+        [[0.3, 2.0], [0.3, 2.0]],
+        1.0,
+        12,
+        3,
+        "bra pair 2 screened under every ket pair",
+    );
 }
