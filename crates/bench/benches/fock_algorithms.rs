@@ -1,24 +1,19 @@
-//! Bench: one two-electron Fock build with each of the paper's algorithms,
-//! driven two ways — through the legacy free functions and through the
-//! unified `FockBuilder` engine — to show the engine layer costs nothing
-//! on the RHF hot path. (On a single host core the parallel variants
-//! mostly measure orchestration overhead over the serial baseline; the
-//! cluster behaviour comes from phi-knlsim.)
+//! Bench: one two-electron Fock build with each of the paper's algorithms
+//! through the unified `FockBuilder` engine. (On a single host core the
+//! parallel variants mostly measure orchestration overhead over the serial
+//! baseline; the cluster behaviour comes from phi-knlsim.)
 //!
 //! Also asserts (hard, not timed) that every DLB-driven builder reports a
 //! non-zero `dlb_calls` in its stats — the uniform counter contract.
 //!
 //! Full mode benches the C6 ring in 6-31G(d) (the calibration system);
 //! `PHI_BENCH_SMOKE=1` switches to water/6-31G so CI finishes in seconds.
-//! Pass `--json <path>` to write the legacy-vs-engine comparison, e.g.
-//! `BENCH_pr2.json`.
+//! Pass `--json <path>` to write the per-build times.
 
-use hf::fock::serial;
-use hf::{DensitySet, FockAlgorithm, FockContext};
+use hf::{DensitySet, FockAlgorithm, FockData};
 use phi_bench::microbench::{black_box, smoke_mode, Runner};
 use phi_chem::basis::{BasisName, BasisSet};
 use phi_chem::geom::small;
-use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
 
 fn json_path() -> Option<std::path::PathBuf> {
@@ -40,10 +35,8 @@ fn main() {
         ("C6 ring, 6-31G(d)", small::c_ring(6, 1.39), BasisName::B631gd)
     };
     let basis = BasisSet::build(&mol, basis_name);
-    let pairs = ShellPairs::build(&basis);
-    let screening = Screening::from_pairs(&basis, &pairs);
-    let tau = 1e-10;
-    let ctx = FockContext::new(&basis, &pairs, &screening, tau);
+    let data = FockData::build(&basis);
+    let ctx = data.context(&basis, 1e-10);
     let n = basis.n_basis();
     let d = Mat::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.05 });
     let dens = DensitySet::Restricted(&d);
@@ -73,20 +66,9 @@ fn main() {
     let mut r = Runner::new("fock_build");
     println!("# system: {label}");
 
-    // Legacy direct path vs the engine path for the serial builder — the
-    // per-iteration Fock time these two report must agree within noise
-    // (the engine dispatches Restricted sets to the same monomorphic
-    // digestion loop).
-    let legacy = r
-        .bench("serial_legacy_fn", || {
-            black_box(serial::build_g_serial(&basis, &pairs, &screening, tau, &d).g.trace());
-        })
-        .ns_per_iter;
-    let engine = r
-        .bench("serial_engine", || {
-            black_box(FockAlgorithm::Serial.builder().build(&ctx, &dens).g.trace());
-        })
-        .ns_per_iter;
+    r.bench("serial_engine", || {
+        black_box(FockAlgorithm::Serial.builder().build(&ctx, &dens).g.trace());
+    });
 
     r.bench("mpi_only_2ranks", || {
         black_box(FockAlgorithm::MpiOnly { n_ranks: 2 }.builder().build(&ctx, &dens).g.trace());
@@ -110,16 +92,8 @@ fn main() {
         );
     });
 
-    let ratio = engine / legacy;
-    println!("# engine/legacy serial Fock time: {ratio:.4} (1.0 = no abstraction cost)");
-
     if let Some(path) = json_path() {
-        let json = format!(
-            "{{\n  \"bench\": \"fock_build_engine_vs_legacy\",\n  \"system\": \"{label}\",\n  \
-             \"unit\": \"ns_per_fock_build\",\n  \"legacy_serial\": {legacy:.1},\n  \
-             \"engine_serial\": {engine:.1},\n  \"engine_over_legacy\": {ratio:.4}\n}}\n"
-        );
-        std::fs::write(&path, json).expect("write json");
+        std::fs::write(&path, r.to_json()).expect("write json");
         println!("# wrote {}", path.display());
     }
 }

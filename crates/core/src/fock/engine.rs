@@ -19,13 +19,14 @@
 //! Every build returns the same [`GBuild`]: per-channel `G` matrices plus
 //! [`crate::stats::FockBuildStats`] collected identically across
 //! algorithms (quartets computed/screened, DLB counter calls, buffer
-//! flushes, wall time, tracked memory). Adding an algorithm is now one
-//! file implementing one trait, not a five-file surgery.
+//! flushes, wall time, tracked memory). The lease loops, quartet worker
+//! and stats epilogue behind those numbers are shared (`fock::skeleton`);
+//! adding an algorithm is one file supplying its task split, density
+//! reads and Fock accumulation, plus one arm in [`ParallelBuilder`].
 
-use super::shared_fock::TaskPrescreen;
 use super::{DensitySet, FockAlgorithm, GBuild};
 use phi_chem::BasisSet;
-use phi_dmpi::{FaultPlan, RetryPolicy};
+use phi_dmpi::{FaultPlan, RetryPolicy, WorldConfig};
 use phi_integrals::{DensityMax, Screening, ShellPairs};
 
 /// Borrowed view of everything a Fock build needs besides the density:
@@ -147,154 +148,44 @@ impl FockBuilder for SerialBuilder {
     }
 }
 
-/// Algorithm 1: MPI-only, everything replicated per rank
-/// ([`super::mpi_only`]).
-pub struct MpiOnlyBuilder {
-    pub n_ranks: usize,
+/// Every rank-parallel algorithm ([`super::mpi_only`],
+/// [`super::private_fock`], [`super::shared_fock`],
+/// [`super::distributed`], [`super::sharded`]) under one fault plan and
+/// reliable-delivery policy. Each algorithm supplies only its task split,
+/// density reads and Fock accumulation; the lease loops, quartet worker
+/// and stats epilogue are shared.
+pub struct ParallelBuilder {
+    pub algorithm: FockAlgorithm,
     /// Deterministic fault plan applied to every build; `None` runs clean.
     pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path.
+    /// Reliable-delivery policy for the world and its DDI window links.
     pub retry: RetryPolicy,
 }
 
-impl FockBuilder for MpiOnlyBuilder {
+impl FockBuilder for ParallelBuilder {
     fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::mpi_only::build_mpi_only(ctx, dens, self.n_ranks, self.faults.as_ref(), self.retry)
-    }
-
-    fn label(&self) -> &'static str {
-        "MPI-only"
-    }
-}
-
-/// Algorithm 2: hybrid, shared density, thread-private Fock
-/// ([`super::private_fock`]).
-pub struct PrivateFockBuilder {
-    pub n_ranks: usize,
-    pub n_threads: usize,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path.
-    pub retry: RetryPolicy,
-}
-
-impl FockBuilder for PrivateFockBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::private_fock::build_private_fock(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.n_threads,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "private Fock"
-    }
-}
-
-/// Algorithm 3: hybrid, density and Fock both shared per rank
-/// ([`super::shared_fock`]), with the task-prescreen and lazy-FI-flush
-/// knobs exposed for ablations.
-pub struct SharedFockBuilder {
-    pub n_ranks: usize,
-    pub n_threads: usize,
-    pub prescreen: TaskPrescreen,
-    pub lazy_fi: bool,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world's message path.
-    pub retry: RetryPolicy,
-}
-
-impl SharedFockBuilder {
-    /// The paper's default configuration: QMax task prescreen, lazy FI.
-    pub fn new(n_ranks: usize, n_threads: usize) -> SharedFockBuilder {
-        SharedFockBuilder {
-            n_ranks,
-            n_threads,
-            prescreen: TaskPrescreen::QMax,
-            lazy_fi: true,
-            faults: None,
-            retry: RetryPolicy::default(),
+        let world =
+            |n_ranks| WorldConfig { n_ranks, faults: self.faults.clone(), retry: self.retry };
+        match self.algorithm {
+            FockAlgorithm::Serial => super::serial::build_serial(ctx, dens),
+            FockAlgorithm::MpiOnly { n_ranks } => super::mpi_only::build(ctx, dens, world(n_ranks)),
+            FockAlgorithm::PrivateFock { n_ranks, n_threads } => {
+                super::private_fock::build(ctx, dens, world(n_ranks), n_threads)
+            }
+            FockAlgorithm::SharedFock { n_ranks, n_threads } => {
+                super::shared_fock::build(ctx, dens, world(n_ranks), n_threads)
+            }
+            FockAlgorithm::Distributed { n_ranks } => {
+                super::distributed::build(ctx, dens, world(n_ranks))
+            }
+            FockAlgorithm::Sharded { n_ranks, mode } => {
+                super::sharded::build(ctx, dens, world(n_ranks), mode)
+            }
         }
     }
-}
-
-impl FockBuilder for SharedFockBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::shared_fock::build_shared_fock_set(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.n_threads,
-            self.prescreen,
-            self.lazy_fi,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
 
     fn label(&self) -> &'static str {
-        "shared Fock"
-    }
-}
-
-/// Fully sharded build: density *and* Fock live in tri-packed
-/// [`phi_dmpi::DistributedArray`] windows, no rank ever materializes a
-/// full `N x N` matrix ([`super::sharded`]).
-pub struct ShardedBuilder {
-    pub n_ranks: usize,
-    /// DDI transport the get/accumulate windows model.
-    pub mode: phi_dmpi::DdiMode,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world and the window links.
-    pub retry: RetryPolicy,
-}
-
-impl FockBuilder for ShardedBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::sharded::build_sharded(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.mode,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "sharded"
-    }
-}
-
-/// Related-work baseline: Fock distributed over ranks with one-sided
-/// accumulates ([`super::distributed`]).
-pub struct DistributedBuilder {
-    pub n_ranks: usize,
-    /// Deterministic fault plan applied to every build; `None` runs clean.
-    pub faults: Option<FaultPlan>,
-    /// Reliable-delivery policy for the world and the window links.
-    pub retry: RetryPolicy,
-}
-
-impl FockBuilder for DistributedBuilder {
-    fn build(&self, ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-        super::distributed::build_distributed(
-            ctx,
-            dens,
-            self.n_ranks,
-            self.faults.as_ref(),
-            self.retry,
-        )
-    }
-
-    fn label(&self) -> &'static str {
-        "distributed"
+        self.algorithm.label()
     }
 }
 
@@ -326,23 +217,7 @@ impl FockAlgorithm {
     ) -> Box<dyn FockBuilder> {
         match self {
             FockAlgorithm::Serial => Box::new(SerialBuilder),
-            FockAlgorithm::MpiOnly { n_ranks } => {
-                Box::new(MpiOnlyBuilder { n_ranks, faults, retry })
-            }
-            FockAlgorithm::PrivateFock { n_ranks, n_threads } => {
-                Box::new(PrivateFockBuilder { n_ranks, n_threads, faults, retry })
-            }
-            FockAlgorithm::SharedFock { n_ranks, n_threads } => Box::new(SharedFockBuilder {
-                faults,
-                retry,
-                ..SharedFockBuilder::new(n_ranks, n_threads)
-            }),
-            FockAlgorithm::Distributed { n_ranks } => {
-                Box::new(DistributedBuilder { n_ranks, faults, retry })
-            }
-            FockAlgorithm::Sharded { n_ranks, mode } => {
-                Box::new(ShardedBuilder { n_ranks, mode, faults, retry })
-            }
+            algorithm => Box::new(ParallelBuilder { algorithm, faults, retry }),
         }
     }
 }

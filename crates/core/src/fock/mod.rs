@@ -29,10 +29,10 @@ pub mod private_fock;
 pub mod serial;
 pub mod sharded;
 pub mod shared_fock;
+mod skeleton;
 
 use crate::stats::FockBuildStats;
 use phi_chem::BasisSet;
-use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
 
 /// Which Fock-build parallelization to use.
@@ -447,8 +447,8 @@ pub fn tri_to_full(buf: &[f64], n: usize) -> Mat {
     m
 }
 
-/// Canonical shell-quartet enumeration shared by the serial and MPI-only
-/// builders: yields `(k, l)` for a given `(i, j)` task.
+/// Canonical shell-quartet enumeration: the last `l` of row `(i, j, k)`
+/// of an `(i, j)` task (the task skeleton's quartet loops use it).
 #[inline]
 pub fn kl_bounds(i: usize, j: usize, k: usize) -> usize {
     // l runs over 0..=bound; canonical unique-quartet bound (see module
@@ -538,52 +538,6 @@ pub fn brute_force_g(basis: &BasisSet, d: &Mat) -> Mat {
     g
 }
 
-/// Statistics-free convenience used by several builders: evaluate one
-/// quartet with screening and digest it.
-pub struct QuartetWorker {
-    pub engine: phi_integrals::EriEngine,
-    buf: Vec<f64>,
-}
-
-impl Default for QuartetWorker {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QuartetWorker {
-    pub fn new() -> QuartetWorker {
-        QuartetWorker { engine: phi_integrals::EriEngine::new(), buf: Vec::new() }
-    }
-
-    /// Evaluate and digest quartet `(si sj | sk sl)` if it survives
-    /// screening, using the shared pair dataset. Returns true if computed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn process(
-        &mut self,
-        basis: &BasisSet,
-        pairs: &ShellPairs,
-        screening: &Screening,
-        tau: f64,
-        si: usize,
-        sj: usize,
-        sk: usize,
-        sl: usize,
-        d: &Mat,
-        sink: &mut impl FockSink,
-    ) -> bool {
-        if !screening.survives(si, sj, sk, sl, tau) {
-            return false;
-        }
-        let (bra, ket) = (pairs.pair(si, sj), pairs.pair(sk, sl));
-        self.buf.clear();
-        self.buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-        self.engine.shell_quartet_pairs(bra, ket, &mut self.buf);
-        digest_quartet(basis, si, sj, sk, sl, &self.buf, d, sink);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -603,6 +557,11 @@ mod tests {
         d
     }
 
+    fn serial_g(b: &BasisSet, tau: f64, d: &Mat) -> Mat {
+        let data = engine::FockData::build(b);
+        serial::build_serial(&data.context(b, tau), &DensitySet::Restricted(d)).g
+    }
+
     #[test]
     fn serial_digestion_matches_brute_force() {
         for (mol, basis) in [
@@ -614,9 +573,7 @@ mod tests {
             let n = b.n_basis();
             let d = test_density(n);
             let want = brute_force_g(&b, &d);
-            let pairs = ShellPairs::build(&b);
-            let s = Screening::from_pairs(&b, &pairs);
-            let got = serial::build_g_serial(&b, &pairs, &s, 0.0, &d).g;
+            let got = serial_g(&b, 0.0, &d);
             assert!(
                 got.max_abs_diff(&want) < 1e-10,
                 "{:?}: digestion differs from brute force by {}",
@@ -632,9 +589,7 @@ mod tests {
         let n = b.n_basis();
         let d = test_density(n);
         let want = brute_force_g(&b, &d);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let got = serial::build_g_serial(&b, &pairs, &s, 0.0, &d).g;
+        let got = serial_g(&b, 0.0, &d);
         assert!(got.max_abs_diff(&want) < 1e-9, "differs by {}", got.max_abs_diff(&want));
     }
 
@@ -643,14 +598,12 @@ mod tests {
         let b = BasisSet::build(&small::h_chain(6, 2.5), BasisName::Sto3g);
         let n = b.n_basis();
         let d = test_density(n);
-        let pairs = ShellPairs::build(&b);
-        let s = Screening::from_pairs(&b, &pairs);
-        let exact = serial::build_g_serial(&b, &pairs, &s, 0.0, &d).g;
-        let screened = serial::build_g_serial(&b, &pairs, &s, 1e-9, &d).g;
+        let exact = serial_g(&b, 0.0, &d);
+        let screened = serial_g(&b, 1e-9, &d);
         // Dropped quartets are bounded by tau * |D| * multiplicity; stay
         // well under a conservative bound.
         assert!(exact.max_abs_diff(&screened) < 1e-6);
-        let coarse = serial::build_g_serial(&b, &pairs, &s, 1e-3, &d).g;
+        let coarse = serial_g(&b, 1e-3, &d);
         assert!(exact.max_abs_diff(&coarse) > exact.max_abs_diff(&screened));
     }
 

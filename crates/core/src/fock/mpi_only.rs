@@ -12,188 +12,53 @@
 
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::{digest_quartet_dens, kl_bounds, pair_decode, DensitySet};
-use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
-use std::time::Instant;
+use super::skeleton::{
+    gsum_replicated, lease_loop, replicate_inputs, replicated_result, run_ranks, Charge, Worker,
+};
+use super::{digest_quartet_dens, pair_decode, DensitySet, GBuild};
+use phi_dmpi::{LeaseMode, WorldConfig};
 
-pub use super::GBuild;
-
-/// Bytes of replicated read-only matrices a real GAMESS process carries
-/// besides D and F: overlap S, core Hamiltonian H, and MO coefficients C.
-/// (We charge them to the tracker; the build itself only needs D.)
-fn replicated_readonly_bytes(n: usize) -> usize {
-    3 * n * n * std::mem::size_of::<f64>()
-}
-
-/// Build the two-electron matrices for `dens` with Algorithm 1 over
-/// `n_ranks` ranks, optionally under deterministic fault injection.
-/// Tasks leased to a rank that dies mid-build are reclaimed and
-/// recomputed by survivors, so the result matches serial regardless of
-/// how many (< all) ranks fail.
-pub fn build_mpi_only(
-    ctx: &FockContext<'_>,
-    dens: &DensitySet<'_>,
-    n_ranks: usize,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
-) -> GBuild {
+/// Build the two-electron matrices for `dens` with Algorithm 1 over the
+/// ranks of `cfg`. Tasks leased to a rank that dies mid-build are
+/// reclaimed and recomputed by survivors, so the result matches serial
+/// regardless of how many (< all) ranks fail.
+pub(crate) fn build(ctx: &FockContext<'_>, dens: &DensitySet<'_>, cfg: WorldConfig) -> GBuild {
     let basis = ctx.basis;
-    let n = basis.n_basis();
     let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
     let work = dens.prepare();
-    let nch = work.n_channels();
-
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
+    replicated_result(run_ranks(cfg, &[], |rank| {
         // Replicated data structures, one full set per rank (the paper's
-        // memory bottleneck): every spin-channel density plus the
-        // read-only matrices.
-        let mut d_local = rank.alloc_f64(nch * n * n);
-        match *dens {
-            DensitySet::Restricted(d) => d_local.copy_from_slice(d.as_slice()),
-            DensitySet::Unrestricted { alpha, beta } => {
-                d_local[..n * n].copy_from_slice(alpha.as_slice());
-                d_local[n * n..].copy_from_slice(beta.as_slice());
-            }
-        }
-        rank.charge_bytes(replicated_readonly_bytes(n));
-        // The shell-pair dataset: one read-only copy per MPI process (in a
-        // real multi-process run each rank materializes its own).
-        rank.charge_bytes(ctx.pairs.bytes());
-        // The replicated write side, charged to the tracker like every
-        // other full-matrix allocation.
-        let mut fock = ReplicatedFock::new(nch, n);
-        rank.charge_bytes(fock.bytes());
-
-        let mut engine = ctx.engine();
-        let mut eri_buf: Vec<f64> = Vec::new();
-        let mut computed = 0u64;
-        let mut screened = 0u64;
-        let mut tasks = 0usize;
-
+        // memory bottleneck), and the replicated write side.
+        let _inputs = replicate_inputs(rank, ctx, dens);
+        let mut fock = ReplicatedFock::new(work.n_channels(), basis.n_basis());
+        let _fock = Charge::new(rank, fock.bytes());
+        let mut w = Worker::new(ctx);
+        let mut sinks = fock.sinks();
         // Fock accumulators are volatile: a dead rank's partial sums
         // never reach the reduction, so everything it ever computed is
         // reissued to survivors.
-        let mut dead = rank.lease_reset(n_pair, LeaseMode::Volatile).is_err();
-        if !dead {
-            let mut sinks = fock.sinks();
-            loop {
-                let t = match rank.lease_next() {
-                    Ok(Some(t)) => t,
-                    Ok(None) => break,
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                };
-                tasks += 1;
-                let (i, j) = pair_decode(t);
-                for k in 0..=i {
-                    for l in 0..=kl_bounds(i, j, k) {
-                        if !ctx.survives(i, j, k, l) {
-                            screened += 1;
-                            continue;
-                        }
-                        let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                        eri_buf.clear();
-                        eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                        engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                        digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                        computed += 1;
-                    }
-                }
-                rank.lease_complete(t);
-            }
-        }
-
-        // 2e-Fock matrix reduction over the surviving MPI ranks
-        // (Algorithm 1 line 16) — one collective covering every spin
-        // channel. Dead ranks have deregistered and must stay out.
-        if !dead {
-            dead = rank.try_gsumf(fock.as_mut_slice()).is_err();
-        }
-
-        rank.release_bytes(replicated_readonly_bytes(n));
-        rank.release_bytes(ctx.pairs.bytes());
-        rank.release_bytes(fock.bytes());
-        // Once per rank per build: totals reconcile exactly with the
-        // merged FockBuildStats (no per-quartet events on the hot path).
-        phi_trace::counter("quartets_computed", computed);
-        phi_trace::counter("quartets_screened", screened);
-        phi_trace::counter("flushes", 0);
-        phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-        let result = if !dead && rank.is_lowest_live() { Some(fock) } else { None };
-        (
-            result,
-            FockBuildStats {
-                seconds: start.elapsed().as_secs_f64(),
-                quartets_computed: computed,
-                quartets_screened: screened,
-                prim_quartets: engine.prim_quartets_computed(),
-                eri_class_quartets: engine.class_counts().to_vec(),
-                dlb_tasks: tasks,
-                ..Default::default()
-            },
-        )
-    });
-
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    let mut g_buf = None;
-    for (buf, s) in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-        if let Some(b) = buf {
-            g_buf = Some(b);
-        }
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed.clone();
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    let fock = g_buf.unwrap_or_else(|| {
-        panic!("no surviving rank returned the reduced Fock (failed ranks: {failed:?})")
-    });
-    GBuild::from_channels(fock.into_mats(), stats)
-}
-
-/// Restricted convenience wrapper over [`build_mpi_only`].
-pub fn build_g_mpi_only(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-) -> GBuild {
-    build_mpi_only(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        None,
-        RetryPolicy::default(),
-    )
+        let alive = lease_loop(rank, ns * (ns + 1) / 2, LeaseMode::Volatile, &mut w, |w, t| {
+            let (i, j) = pair_decode(t);
+            w.ij_task(i, j, |k, l, eri| {
+                digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
+            });
+        });
+        drop(sinks);
+        // 2e-Fock matrix reduction (Algorithm 1 line 16): one collective
+        // covering every spin channel.
+        (gsum_replicated(rank, alive, fock), w.finish(0))
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::FockData;
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -202,20 +67,20 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
+    fn mpi_only(n_ranks: usize) -> Box<dyn crate::fock::engine::FockBuilder> {
+        FockAlgorithm::MpiOnly { n_ranks }.builder()
     }
 
     #[test]
     fn matches_serial_for_various_rank_counts() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let dens = DensitySet::Restricted(&d);
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens).g;
         for n_ranks in [1, 2, 3, 5] {
-            let got = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, n_ranks);
+            let got = mpi_only(n_ranks).build(&ctx, &dens);
             assert!(
                 got.g.max_abs_diff(&want) < 1e-10,
                 "{n_ranks} ranks: diff {}",
@@ -227,9 +92,11 @@ mod tests {
     #[test]
     fn all_tasks_distributed_exactly_once() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let out = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 3);
+        let dens = DensitySet::Restricted(&d);
+        let out = mpi_only(3).build(&ctx, &dens);
         let ns = b.n_shells();
         let p = ns * (ns + 1) / 2;
         assert_eq!(out.stats.dlb_tasks, p, "every ij pair is one task");
@@ -237,7 +104,7 @@ mod tests {
         // final out-of-range call before leaving the loop.
         assert_eq!(out.stats.dlb_calls, p + 3);
         // Quartet totals match the serial enumeration.
-        let serial = build_g_serial(&b, &pairs, &s, 1e-12, &d);
+        let serial = FockAlgorithm::Serial.builder().build(&ctx, &dens);
         assert_eq!(
             out.stats.quartets_computed + out.stats.quartets_screened,
             serial.stats.quartets_computed + serial.stats.quartets_screened
@@ -247,10 +114,11 @@ mod tests {
     #[test]
     fn memory_replication_scales_with_ranks() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let one = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 1);
-        let four = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 4);
+        let one = mpi_only(1).build(&ctx, &DensitySet::Restricted(&d));
+        let four = mpi_only(4).build(&ctx, &DensitySet::Restricted(&d));
         // Four ranks replicate everything: total peak ~4x one rank's.
         let ratio = four.stats.memory_total_peak as f64 / one.stats.memory_total_peak as f64;
         assert!((ratio - 4.0).abs() < 0.2, "replication ratio {ratio}");

@@ -11,231 +11,76 @@
 
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::{digest_quartet_dens, kl_bounds, DensitySet};
+use super::skeleton::{
+    gsum_replicated, replicate_inputs, replicated_result, run_ranks, Charge, TeamLeases, Worker,
+};
+use super::{digest_quartet_dens, DensitySet, GBuild};
 use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
+use phi_dmpi::WorldConfig;
 use phi_omp::{Schedule, Team};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
-pub use super::GBuild;
-
-/// Sentinel the master stores when every task is complete.
-pub(crate) const TASK_DONE: usize = usize::MAX;
-/// Sentinel the master stores when its rank has been killed: the whole
-/// thread team unwinds cleanly at the next barrier.
-pub(crate) const TASK_DEAD: usize = usize::MAX - 1;
-
-/// Replicated read-only matrices per *rank* (S, H, C) — one set per rank,
-/// not per thread, which is the first memory win over Algorithm 1.
-fn replicated_readonly_bytes(n: usize) -> usize {
-    3 * n * n * std::mem::size_of::<f64>()
-}
-
-/// Build the two-electron matrices for `dens` with Algorithm 2 over
-/// `n_ranks` ranks x `n_threads` threads.
-pub fn build_private_fock(
+/// Build the two-electron matrices for `dens` with Algorithm 2 over the
+/// ranks of `cfg` x `n_threads` threads.
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     dens: &DensitySet<'_>,
-    n_ranks: usize,
+    cfg: WorldConfig,
     n_threads: usize,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
-    let ns = basis.n_shells();
     let work = dens.prepare();
     let nch = work.n_channels();
-
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
-        // One shared copy of each spin-channel density per rank (threads
-        // read them concurrently).
-        let mut d_rank = rank.alloc_f64(nch * n * n);
-        match *dens {
-            DensitySet::Restricted(d) => d_rank.copy_from_slice(d.as_slice()),
-            DensitySet::Unrestricted { alpha, beta } => {
-                d_rank[..n * n].copy_from_slice(alpha.as_slice());
-                d_rank[n * n..].copy_from_slice(beta.as_slice());
-            }
-        }
-        rank.charge_bytes(replicated_readonly_bytes(n));
-        // One shell-pair dataset per rank, shared read-only by the team's
-        // threads (never replicated per thread).
-        rank.charge_bytes(ctx.pairs.bytes());
-
-        let team = Team::new(n_threads);
-        let current_i = AtomicUsize::new(0);
-        // If this errors the rank is already doomed; the master's first
-        // lease claim below observes the same condition and unwinds the
-        // whole team cleanly.
-        let _ = rank.lease_reset(ns, LeaseMode::Volatile);
-
-        let thread_results = team.parallel(|tctx| {
+    replicated_result(run_ranks(cfg, &[], |rank| {
+        // One shared copy of the density and read-only matrices per rank
+        // (threads read them concurrently; never replicated per thread).
+        let _inputs = replicate_inputs(rank, ctx, dens);
+        let leases = TeamLeases::new(rank, basis.n_shells());
+        let threads = Team::new(n_threads).parallel(|tctx| {
             // Thread-private Fock matrices (one per spin channel) — the
-            // replication this algorithm still pays for (charged to the
-            // rank's footprint).
+            // replication this algorithm still pays for.
             let mut fock = ReplicatedFock::new(nch, n);
             rank.charge_bytes(fock.bytes());
-            let mut engine = ctx.engine();
-            let mut eri_buf: Vec<f64> = Vec::new();
-            let mut computed = 0u64;
-            let mut screened = 0u64;
-            let mut tasks = 0usize;
-
-            {
-                let mut sinks = fock.sinks();
-                let mut prev_task: Option<usize> = None;
-                loop {
-                    // Master pulls the next i lease (Algorithm 2 lines
-                    // 3-6). The previous task only counts as complete
-                    // here, after collapse2's trailing barrier proved
-                    // the whole team finished it. A kill fires inside
-                    // the claim, so the master then broadcasts the DEAD
-                    // sentinel and every thread unwinds at the barrier.
-                    tctx.master(|| {
-                        if let Some(p) = prev_task.take() {
-                            rank.lease_complete(p);
-                        }
-                        let next = match rank.lease_next() {
-                            Ok(Some(t)) => {
-                                prev_task = Some(t);
-                                t
-                            }
-                            Ok(None) => TASK_DONE,
-                            Err(_) => TASK_DEAD,
-                        };
-                        current_i.store(next, Ordering::SeqCst);
+            let mut w = Worker::new(ctx);
+            let mut sinks = fock.sinks();
+            // Master pulls the next i lease (Algorithm 2 lines 3-6); the
+            // merged (j, k) loops are workshared dynamically (lines 7-20).
+            leases.run(tctx, &mut w, |w, i| {
+                tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
+                    w.l_row(i, j, k, &mut |k, l, eri| {
+                        digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
                     });
-                    tctx.barrier();
-                    let i = current_i.load(Ordering::SeqCst);
-                    if i >= ns {
-                        break;
-                    }
-                    if tctx.is_master() {
-                        tasks += 1;
-                    }
-                    // Merged (j, k) loops, workshared dynamically (lines 7-20).
-                    tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
-                        for l in 0..=kl_bounds(i, j, k) {
-                            if !ctx.survives(i, j, k, l) {
-                                screened += 1;
-                                continue;
-                            }
-                            let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                            eri_buf.clear();
-                            eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                            engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                            digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                            computed += 1;
-                        }
-                    });
-                    // collapse2 ends with the implicit barrier; the master
-                    // then pulls the next task.
-                }
-            }
-
-            // Per-thread totals, accumulated in plain locals above (no
-            // per-quartet trace events); sums reconcile with the merged
-            // FockBuildStats.
-            phi_trace::counter("quartets_computed", computed);
-            phi_trace::counter("quartets_screened", screened);
-            phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-            let stats = FockBuildStats {
-                quartets_computed: computed,
-                quartets_screened: screened,
-                prim_quartets: engine.prim_quartets_computed(),
-                eri_class_quartets: engine.class_counts().to_vec(),
-                dlb_tasks: tasks,
-                ..Default::default()
-            };
-            (fock, stats)
+                });
+                true
+            });
+            drop(sinks);
+            (fock, w.finish(0))
         });
-        phi_trace::counter("flushes", 0);
 
         // OpenMP reduction(+ : Fock): sum the thread-private copies.
         let mut fock = ReplicatedFock::new(nch, n);
-        rank.charge_bytes(fock.bytes());
+        let _fock = Charge::new(rank, fock.bytes());
         let mut stats = FockBuildStats::default();
-        for (tf, ts) in &thread_results {
+        for (tf, ts) in &threads {
             fock.reduce_from(tf);
             stats = FockBuildStats::merge(stats, ts);
         }
-        rank.release_bytes(n_threads * nch * n * n * std::mem::size_of::<f64>());
-
+        rank.release_bytes(n_threads * fock.bytes());
         // 2e-Fock matrix reduction over the surviving MPI ranks (line
-        // 23). A killed rank's team unwound via the DEAD sentinel; its
-        // partial sums die here with it and its leases were reissued.
-        let mut dead = !rank.alive();
-        if !dead {
-            dead = rank.try_gsumf(fock.as_mut_slice()).is_err();
-        }
-        rank.release_bytes(replicated_readonly_bytes(n));
-        rank.release_bytes(ctx.pairs.bytes());
-        rank.release_bytes(fock.bytes());
-        stats.seconds = start.elapsed().as_secs_f64();
-        let result = if !dead && rank.is_lowest_live() { Some(fock) } else { None };
-        (result, stats)
-    });
-
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    let mut g_buf = None;
-    for (buf, s) in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-        if let Some(b) = buf {
-            g_buf = Some(b);
-        }
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed.clone();
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    let fock = g_buf.unwrap_or_else(|| {
-        panic!("no surviving rank returned the reduced Fock (failed ranks: {failed:?})")
-    });
-    GBuild::from_channels(fock.into_mats(), stats)
-}
-
-/// Restricted convenience wrapper over [`build_private_fock`].
-pub fn build_g_private_fock(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-    n_threads: usize,
-) -> GBuild {
-    build_private_fock(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        n_threads,
-        None,
-        RetryPolicy::default(),
-    )
+        // 23). A killed rank's team unwound via the DEAD sentinel.
+        (gsum_replicated(rank, rank.alive(), fock), stats)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::FockData;
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -244,20 +89,20 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
+    fn private(n_ranks: usize, n_threads: usize) -> Box<dyn crate::fock::engine::FockBuilder> {
+        FockAlgorithm::PrivateFock { n_ranks, n_threads }.builder()
     }
 
     #[test]
     fn matches_serial_across_rank_thread_grids() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let dens = DensitySet::Restricted(&d);
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens).g;
         for (r, t) in [(1, 1), (1, 4), (2, 2), (3, 2)] {
-            let got = build_g_private_fock(&b, &pairs, &s, 1e-12, &d, r, t);
+            let got = private(r, t).build(&ctx, &dens);
             assert!(
                 got.g.max_abs_diff(&want) < 1e-10,
                 "{r} ranks x {t} threads: diff {}",
@@ -269,10 +114,12 @@ mod tests {
     #[test]
     fn covers_every_quartet_exactly_once() {
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 0.0);
         let d = density(b.n_basis());
-        let serial = build_g_serial(&b, &pairs, &s, 0.0, &d);
-        let hybrid = build_g_private_fock(&b, &pairs, &s, 0.0, &d, 2, 3);
+        let dens = DensitySet::Restricted(&d);
+        let serial = FockAlgorithm::Serial.builder().build(&ctx, &dens);
+        let hybrid = private(2, 3).build(&ctx, &dens);
         assert_eq!(hybrid.stats.quartets_computed, serial.stats.quartets_computed);
     }
 
@@ -280,10 +127,12 @@ mod tests {
     fn rank_memory_smaller_than_mpi_only_at_same_core_count() {
         // 4 "cores": MPI-only = 4 ranks; private Fock = 1 rank x 4 threads.
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let mpi = crate::fock::mpi_only::build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, 4);
-        let hyb = build_g_private_fock(&b, &pairs, &s, 1e-12, &d, 1, 4);
+        let dens = DensitySet::Restricted(&d);
+        let mpi = FockAlgorithm::MpiOnly { n_ranks: 4 }.builder().build(&ctx, &dens);
+        let hyb = private(1, 4).build(&ctx, &dens);
         assert!(
             hyb.stats.memory_total_peak < mpi.stats.memory_total_peak,
             "hybrid {} vs MPI {}",

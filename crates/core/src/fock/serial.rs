@@ -4,13 +4,10 @@
 
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::{digest_quartet_dens, kl_bounds, tri_to_full, DensitySet, TriSink};
-// Re-exported here for backward compatibility: `GBuild` predates the
-// unified engine layer and used to live in this module.
-pub use super::GBuild;
-use crate::stats::FockBuildStats;
+use super::skeleton::Worker;
+use super::{digest_quartet_dens, digest_value_scaled, DensitySet, GBuild, TriSink};
 use phi_chem::BasisSet;
-use phi_integrals::{EriEngine, Screening, ShellPairs};
+use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
 use std::time::Instant;
 
@@ -19,68 +16,36 @@ use std::time::Instant;
 /// unrestricted one — every surviving ERI evaluated once and digested into
 /// every spin channel.
 pub fn build_serial(ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
-    // One span + three counters per build — nothing per quartet, so the
+    // One span and a few counters per build — nothing per quartet, so the
     // serial path carries essentially zero tracing overhead (asserted by
     // benches/trace_overhead.rs).
     let _span = phi_trace::span("fock.build");
     let start = Instant::now();
     let basis = ctx.basis;
     let work = dens.prepare();
-    let nch = work.n_channels();
-    let n = basis.n_basis();
-    let ns = basis.n_shells();
-    let mut fock = ReplicatedFock::new(nch, n);
-    let mut engine = ctx.engine();
-    let mut quartets_computed = 0u64;
-    let mut quartets_screened = 0u64;
-    let mut eri_buf: Vec<f64> = Vec::new();
-
+    let mut fock = ReplicatedFock::new(work.n_channels(), basis.n_basis());
+    let mut w = Worker::new(ctx);
     {
         let mut sinks = fock.sinks();
-        for i in 0..ns {
+        for i in 0..basis.n_shells() {
             for j in 0..=i {
-                for k in 0..=i {
-                    for l in 0..=kl_bounds(i, j, k) {
-                        if !ctx.survives(i, j, k, l) {
-                            quartets_screened += 1;
-                            continue;
-                        }
-                        let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                        eri_buf.clear();
-                        eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                        engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                        digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                        quartets_computed += 1;
-                    }
-                }
+                w.ij_task(i, j, |k, l, eri| {
+                    digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
+                });
             }
         }
     }
-
-    phi_trace::counter("quartets_computed", quartets_computed);
-    phi_trace::counter("quartets_screened", quartets_screened);
-    phi_trace::counter("flushes", 0);
-    phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
+    let mut stats = w.finish(0);
     // Per-class dispatch counters (serial reference only — the parallel
-    // builders emit the aggregate above; see trace_invariants.rs).
-    for (ci, &count) in engine.class_counts().iter().enumerate() {
+    // builders emit the aggregate; see trace_invariants.rs).
+    for (ci, &count) in stats.eri_class_quartets.iter().enumerate() {
         if count > 0 {
             phi_trace::counter(phi_integrals::CLASS_TRACE_NAMES[ci], count);
         }
     }
-
     let mats = fock.into_mats();
-    GBuild::from_channels(
-        mats,
-        FockBuildStats {
-            seconds: start.elapsed().as_secs_f64(),
-            quartets_computed,
-            quartets_screened,
-            prim_quartets: engine.prim_quartets_computed(),
-            eri_class_quartets: engine.class_counts().to_vec(),
-            ..Default::default()
-        },
-    )
+    stats.seconds = start.elapsed().as_secs_f64();
+    GBuild::from_channels(mats, stats)
 }
 
 /// Build a generalized two-electron matrix
@@ -98,96 +63,54 @@ pub fn build_jk_serial(
     cj: f64,
     ck: f64,
 ) -> GBuild {
-    use super::digest_value_scaled;
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let n = basis.n_basis();
-    let ns = basis.n_shells();
     let mut buf = vec![0.0; n * n];
-    let mut engine = EriEngine::new();
-    let mut quartets_computed = 0u64;
-    let mut quartets_screened = 0u64;
-    let mut eri_buf: Vec<f64> = Vec::new();
-
-    for i in 0..ns {
+    let mut w = Worker::new(&FockContext::new(basis, pairs, screening, tau));
+    let mut sink = TriSink { buf: &mut buf, n };
+    for i in 0..basis.n_shells() {
         for j in 0..=i {
-            for k in 0..=i {
-                for l in 0..=kl_bounds(i, j, k) {
-                    if !screening.survives(i, j, k, l, tau) {
-                        quartets_screened += 1;
-                        continue;
-                    }
-                    let (bra, ket) = (pairs.pair(i, j), pairs.pair(k, l));
-                    eri_buf.clear();
-                    eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                    engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                    // Digest with custom J/K factors over canonical
-                    // function quartets.
-                    let sh =
-                        [&basis.shells[i], &basis.shells[j], &basis.shells[k], &basis.shells[l]];
-                    let (ni, nj, nk, nl) = (
-                        sh[0].n_functions(),
-                        sh[1].n_functions(),
-                        sh[2].n_functions(),
-                        sh[3].n_functions(),
-                    );
-                    let same_ij = i == j;
-                    let same_kl = k == l;
-                    let same_pair = i == k && j == l;
-                    let mut sink = TriSink { buf: &mut buf, n };
-                    for fa in 0..ni {
-                        let mu = sh[0].first_bf + fa;
-                        let b_hi = if same_ij { fa + 1 } else { nj };
-                        for fb in 0..b_hi {
-                            let nu = sh[1].first_bf + fb;
-                            let munu = mu * (mu + 1) / 2 + nu;
-                            for fc in 0..nk {
-                                let lam = sh[2].first_bf + fc;
-                                let d_hi = if same_kl { fc + 1 } else { nl };
-                                for fd in 0..d_hi {
-                                    let sig = sh[3].first_bf + fd;
-                                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                                        continue;
-                                    }
-                                    let x = eri_buf[((fa * nj + fb) * nk + fc) * nl + fd];
-                                    if x != 0.0 {
-                                        digest_value_scaled(
-                                            mu, nu, lam, sig, x, d, cj, ck, &mut sink,
-                                        );
-                                    }
+            w.ij_task(i, j, |k, l, eri| {
+                // Digest with custom J/K factors over canonical function
+                // quartets.
+                let sh = [&basis.shells[i], &basis.shells[j], &basis.shells[k], &basis.shells[l]];
+                let (ni, nj, nk, nl) = (
+                    sh[0].n_functions(),
+                    sh[1].n_functions(),
+                    sh[2].n_functions(),
+                    sh[3].n_functions(),
+                );
+                let same_ij = i == j;
+                let same_kl = k == l;
+                let same_pair = i == k && j == l;
+                for fa in 0..ni {
+                    let mu = sh[0].first_bf + fa;
+                    let b_hi = if same_ij { fa + 1 } else { nj };
+                    for fb in 0..b_hi {
+                        let nu = sh[1].first_bf + fb;
+                        let munu = mu * (mu + 1) / 2 + nu;
+                        for fc in 0..nk {
+                            let lam = sh[2].first_bf + fc;
+                            let d_hi = if same_kl { fc + 1 } else { nl };
+                            for fd in 0..d_hi {
+                                let sig = sh[3].first_bf + fd;
+                                if same_pair && lam * (lam + 1) / 2 + sig > munu {
+                                    continue;
+                                }
+                                let x = eri[((fa * nj + fb) * nk + fc) * nl + fd];
+                                if x != 0.0 {
+                                    digest_value_scaled(mu, nu, lam, sig, x, d, cj, ck, &mut sink);
                                 }
                             }
                         }
                     }
-                    quartets_computed += 1;
                 }
-            }
+            });
         }
     }
-    let g = tri_to_full(&buf, n);
-    GBuild::restricted(
-        g,
-        FockBuildStats {
-            seconds: start.elapsed().as_secs_f64(),
-            quartets_computed,
-            quartets_screened,
-            prim_quartets: engine.prim_quartets_computed(),
-            ..Default::default()
-        },
-    )
-}
-
-/// Build `G(D)` with the serial canonical loops (restricted convenience
-/// wrapper over [`build_serial`]). The quartet-independent pair data
-/// (E tables, product centers, prefactors, folded normalization) comes
-/// from the shared read-only `pairs` dataset.
-pub fn build_g_serial(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-) -> GBuild {
-    build_serial(&FockContext::new(basis, pairs, screening, tau), &DensitySet::Restricted(d))
+    let mut stats = w.finish(0);
+    stats.seconds = start.elapsed().as_secs_f64();
+    GBuild::restricted(super::tri_to_full(&buf, n), stats)
 }
 
 #[cfg(test)]
@@ -209,7 +132,8 @@ mod tests {
         let mut d = Mat::identity(n);
         d.scale(0.4);
         let (pairs, s) = pairs_and_screening(&b);
-        let g = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
+        let g = build_serial(&ctx, &DensitySet::Restricted(&d)).g;
         assert!(g.is_symmetric(1e-12));
     }
 
@@ -221,8 +145,9 @@ mod tests {
         let d1 = Mat::from_fn(n, n, |i, j| if i == j { 1.0 } else { 0.2 });
         let mut d2 = d1.clone();
         d2.scale(3.0);
-        let g1 = build_g_serial(&b, &pairs, &s, 0.0, &d1).g;
-        let g2 = build_g_serial(&b, &pairs, &s, 0.0, &d2).g;
+        let ctx = FockContext::new(&b, &pairs, &s, 0.0);
+        let g1 = build_serial(&ctx, &DensitySet::Restricted(&d1)).g;
+        let g2 = build_serial(&ctx, &DensitySet::Restricted(&d2)).g;
         let mut g1x3 = g1.clone();
         g1x3.scale(3.0);
         assert!(g2.max_abs_diff(&g1x3) < 1e-10);
@@ -234,7 +159,8 @@ mod tests {
         let n = b.n_basis();
         let d = Mat::identity(n);
         let (pairs, s) = pairs_and_screening(&b);
-        let out = build_g_serial(&b, &pairs, &s, 1e-10, &d);
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-10);
+        let out = build_serial(&ctx, &DensitySet::Restricted(&d));
         let ns = b.n_shells();
         // Total canonical quartets = P(P+1)/2 with P = ns(ns+1)/2.
         let p = ns * (ns + 1) / 2;
@@ -272,18 +198,5 @@ mod tests {
         let got_b = got.g_beta.expect("unrestricted build has a beta channel");
         assert!(got.g.max_abs_diff(&want_a) < 1e-11, "alpha {}", got.g.max_abs_diff(&want_a));
         assert!(got_b.max_abs_diff(&want_b) < 1e-11, "beta {}", got_b.max_abs_diff(&want_b));
-    }
-
-    #[test]
-    fn restricted_density_set_matches_legacy_wrapper() {
-        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let n = b.n_basis();
-        let d = Mat::from_fn(n, n, |i, j| if i == j { 0.9 } else { 0.1 });
-        let (pairs, s) = pairs_and_screening(&b);
-        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
-        let via_engine = build_serial(&ctx, &DensitySet::Restricted(&d));
-        let via_wrapper = build_g_serial(&b, &pairs, &s, 1e-12, &d);
-        assert_eq!(via_engine.g.max_abs_diff(&via_wrapper.g), 0.0);
-        assert!(via_engine.g_beta.is_none());
     }
 }

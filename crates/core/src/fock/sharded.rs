@@ -26,93 +26,54 @@ use super::matrix::{
     digest_quartet_shard, gather_tri, scatter_density, tri_len, RowShardFock, ShardBudget,
     ShardDensity,
 };
-use super::{kl_bounds, pair_decode, DensitySet};
-use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{DdiMode, DistributedArray, FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
-use std::time::Instant;
-
-pub use super::GBuild;
+use super::skeleton::{lease_loop, run_ranks, window, Charge, Worker};
+use super::{pair_decode, DensitySet, GBuild};
+use phi_dmpi::{DdiMode, DistributedArray, LeaseMode, WorldConfig};
 
 /// Build the two-electron matrices for `dens` with DLB over `(i, j)`
 /// pairs, sharded density reads and sharded Fock accumulation.
-pub fn build_sharded(
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     dens: &DensitySet<'_>,
-    n_ranks: usize,
+    cfg: WorldConfig,
     mode: DdiMode,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
     let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
+    let n_ranks = cfg.n_ranks;
     let work = dens.prepare();
     let nch = work.n_channels();
 
     // All windows are created outside the world: the density scatter is
     // the driver's job (it already owns the full matrices), and the Fock
     // windows must survive rank deaths for the durable-lease contract.
-    let reliable = |w: DistributedArray| match faults {
-        Some(plan) => w.with_faults(plan, retry),
-        None => w,
-    };
-    let d_wins: Vec<DistributedArray> =
-        scatter_density(&work, n, n_ranks, mode).into_iter().map(reliable).collect();
-    let f_wins: Vec<DistributedArray> = (0..nch)
-        .map(|_| reliable(DistributedArray::new_with_mode(tri_len(n), n_ranks, mode)))
+    let wins: Vec<DistributedArray> = scatter_density(&work, n, n_ranks, mode)
+        .into_iter()
+        .chain((0..nch).map(|_| DistributedArray::new_with_mode(tri_len(n), n_ranks, mode)))
+        .map(|w| window(w, &cfg))
         .collect();
+    let (d_wins, f_wins) = wins.split_at(wins.len() - nch);
     // Per-rank resident bytes: this rank's owned stripe of every window
     // plus the O(N) buffers. Nothing here scales as a full N x N matrix.
     let budget = ShardBudget::new(n, basis.max_shell_functions(), n_ranks, nch);
 
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
-        let mut reader = ShardDensity::new(&d_wins, n, rank.rank());
-        let mut fock = RowShardFock::new(&f_wins, basis, rank.rank());
+    let (_, stats) = run_ranks(cfg, &wins, |rank| {
+        let mut reader = ShardDensity::new(d_wins, n, rank.rank());
+        let mut fock = RowShardFock::new(f_wins, basis, rank.rank());
         debug_assert_eq!(budget.buffer_bytes, reader.resident_bytes() + fock.resident_bytes());
-        rank.charge_bytes(budget.total());
-        rank.charge_bytes(ctx.pairs.bytes());
-
-        let mut engine = ctx.engine();
-        let mut eri_buf: Vec<f64> = Vec::new();
-        let mut computed = 0u64;
-        let mut screened = 0u64;
-        let mut tasks = 0usize;
+        let _charge = Charge::new(rank, budget.total() + ctx.pairs.bytes());
 
         let fault_mode = rank.faults_enabled();
-        let mut dead = rank.lease_reset(n_pair, LeaseMode::Durable).is_err();
-        while !dead {
-            let t = match rank.lease_next() {
-                Ok(Some(t)) => t,
-                Ok(None) => break,
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
-            };
-            tasks += 1;
+        let mut w = Worker::new(ctx);
+        let alive = lease_loop(rank, ns * (ns + 1) / 2, LeaseMode::Durable, &mut w, |w, t| {
             let (i, j) = pair_decode(t);
             fock.begin_task(i, j);
             for k in 0..=i {
                 fock.begin_k(k);
-                for l in 0..=kl_bounds(i, j, k) {
-                    if !ctx.survives(i, j, k, l) {
-                        screened += 1;
-                        continue;
-                    }
-                    let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                    eri_buf.clear();
-                    eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                    engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                    digest_quartet_shard(basis, i, j, k, l, &eri_buf, &mut reader, &mut fock);
-                    computed += 1;
-                }
+                w.l_row(i, j, k, &mut |k, l, eri| {
+                    digest_quartet_shard(basis, i, j, k, l, eri, &mut reader, &mut fock)
+                });
             }
             fock.end_task();
             if fault_mode {
@@ -120,89 +81,29 @@ pub fn build_sharded(
                 // durable in the windows before the lease completes.
                 fock.flush();
             }
-            rank.lease_complete(t);
-        }
-        if !dead {
+        });
+        if alive {
             fock.flush();
             // Every live rank's accumulates must land before anyone
             // reads; dead ranks have deregistered.
             let _ = rank.ft_barrier();
         }
-        let flushes = fock.flushes;
-        rank.release_bytes(budget.total());
-        rank.release_bytes(ctx.pairs.bytes());
-
-        phi_trace::counter("quartets_computed", computed);
-        phi_trace::counter("quartets_screened", screened);
-        phi_trace::counter("flushes", flushes);
-        phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-        FockBuildStats {
-            seconds: start.elapsed().as_secs_f64(),
-            quartets_computed: computed,
-            quartets_screened: screened,
-            prim_quartets: engine.prim_quartets_computed(),
-            eri_class_quartets: engine.class_counts().to_vec(),
-            dlb_tasks: tasks,
-            flushes,
-            ..Default::default()
-        }
+        (None::<()>, w.finish(fock.flushes))
     });
-
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    for s in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed;
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    for w in d_wins.iter().chain(&f_wins) {
-        let ls = w.link_stats();
-        stats.retransmits += ls.retransmits;
-        stats.acks += ls.acks;
-        stats.corruptions_detected += ls.corruptions_detected;
-        stats.transient_recoveries += ls.transient_recoveries;
-        stats.faults_injected += ls.faults_injected as usize;
-    }
-    let mats: Vec<Mat> = f_wins.iter().map(|w| gather_tri(w, n)).collect();
-    GBuild::from_channels(mats, stats)
-}
-
-/// Restricted convenience wrapper over [`build_sharded`].
-pub fn build_g_sharded(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-    mode: DdiMode,
-) -> GBuild {
-    build_sharded(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        mode,
-        None,
-        RetryPolicy::default(),
-    )
+    GBuild::from_channels(f_wins.iter().map(|w| gather_tri(w, n)).collect(), stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::mpi_only::build_g_mpi_only;
-    use crate::fock::serial::{build_g_serial, build_serial};
+    use crate::fock::engine::FockBuilder;
+    use crate::fock::serial::build_serial;
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_integrals::{Screening, ShellPairs};
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -217,15 +118,21 @@ mod tests {
         (pairs, s)
     }
 
+    fn sharded(n_ranks: usize, mode: DdiMode) -> Box<dyn FockBuilder> {
+        FockAlgorithm::Sharded { n_ranks, mode }.builder()
+    }
+
     #[test]
     fn matches_serial_for_various_rank_counts_and_modes() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let (pairs, s) = pairs_and_screening(&b);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
+        let dens = DensitySet::Restricted(&d);
+        let want = build_serial(&ctx, &dens).g;
         for n_ranks in [1, 2, 4] {
             for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-                let got = build_g_sharded(&b, &pairs, &s, 1e-12, &d, n_ranks, mode);
+                let got = sharded(n_ranks, mode).build(&ctx, &dens);
                 assert!(
                     got.g.max_abs_diff(&want) < 1e-12,
                     "{n_ranks} ranks {}: diff {}",
@@ -248,8 +155,7 @@ mod tests {
         let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
         let dens = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b };
         let want = build_serial(&ctx, &dens);
-        let got =
-            build_sharded(&ctx, &dens, 3, DdiMode::Mpi3OneSided, None, RetryPolicy::default());
+        let got = sharded(3, DdiMode::Mpi3OneSided).build(&ctx, &dens);
         let want_b = want.g_beta.expect("beta channel");
         let got_b = got.g_beta.expect("beta channel");
         assert!(got.g.max_abs_diff(&want.g) < 1e-12, "alpha {}", got.g.max_abs_diff(&want.g));
@@ -276,8 +182,7 @@ mod tests {
             let want = build_serial(&ctx, &dens);
             for n_ranks in 1..=3 {
                 for mode in [DdiMode::Mpi3OneSided, DdiMode::DataServer] {
-                    let got =
-                        build_sharded(&ctx, &dens, n_ranks, mode, None, RetryPolicy::default());
+                    let got = sharded(n_ranks, mode).build(&ctx, &dens);
                     let label = format!(
                         "{} channel(s), {n_ranks} ranks, {}",
                         dens.n_channels(),
@@ -305,8 +210,10 @@ mod tests {
         let b = BasisSet::build(&small::h_chain(8, 1.8), BasisName::B631gdp);
         let (pairs, s) = pairs_and_screening(&b);
         let d = density(b.n_basis());
-        let got = build_g_sharded(&b, &pairs, &s, 1e-12, &d, 1, DdiMode::Mpi3OneSided);
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
+        let dens = DensitySet::Restricted(&d);
+        let got = sharded(1, DdiMode::Mpi3OneSided).build(&ctx, &dens);
+        let want = build_serial(&ctx, &dens).g;
         assert!(got.g.max_abs_diff(&want) < 1e-12, "diff {}", got.g.max_abs_diff(&want));
         assert!(
             got.stats.flushes * 4 <= SPARSE_BUFFER_ACC_RUNS,
@@ -325,8 +232,10 @@ mod tests {
         let n = b.n_basis();
         let d = density(n);
         let ranks = 4;
-        let replicated = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, ranks);
-        let sharded = build_g_sharded(&b, &pairs, &s, 1e-12, &d, ranks, DdiMode::Mpi3OneSided);
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-12);
+        let dens = DensitySet::Restricted(&d);
+        let replicated = FockAlgorithm::MpiOnly { n_ranks: ranks }.builder().build(&ctx, &dens);
+        let sharded = sharded(ranks, DdiMode::Mpi3OneSided).build(&ctx, &dens);
         let rep_peak = replicated.stats.max_rank_peak();
         let sh_peak = sharded.stats.max_rank_peak();
         assert!(sh_peak < rep_peak, "sharded {sh_peak} vs replicated {rep_peak}");

@@ -19,40 +19,20 @@
 //!
 //! MPI tasks are combined `ij` pair indices pulled from the DLB counter,
 //! prescreened at the task level (line 13) so whole iterations of the most
-//! costly top loop vanish for sparse systems.
+//! costly top loop vanish for sparse systems. The prescreen is
+//! `Q_ij * Q_max >= tau` (density-weighted when the context carries a
+//! density-max table): a lossless necessary condition of the quartet test
+//! (see DESIGN.md).
 
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
-use super::private_fock::{TASK_DEAD, TASK_DONE};
-use super::{digest_quartet_dens, pair_decode, pair_index, DensitySet, FockSink};
+use super::skeleton::{
+    gsum_replicated, replicate_inputs, replicated_result, run_ranks, Charge, TeamLeases, Worker,
+};
+use super::{digest_quartet_dens, pair_decode, pair_index, DensitySet, FockSink, GBuild};
 use crate::stats::FockBuildStats;
-use phi_chem::BasisSet;
-use phi_dmpi::{FaultPlan, LeaseMode, RetryPolicy, WorldConfig};
-use phi_integrals::{Screening, ShellPairs};
-use phi_linalg::Mat;
-use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
-
-pub use super::GBuild;
-
-fn replicated_readonly_bytes(n: usize) -> usize {
-    3 * n * n * std::mem::size_of::<f64>()
-}
-
-/// Task-level prescreen policy (Algorithm 3 line 13).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TaskPrescreen {
-    /// Skip task `ij` if `Q_ij * Q_max < tau` — a lossless necessary
-    /// condition (our default; see DESIGN.md).
-    QMax,
-    /// The paper's literal `schwartz(i,j,i,j)` test: skip if
-    /// `Q_ij^2 < tau`. Slightly lossy for quartets whose ket pair has a
-    /// much larger bound than the bra pair.
-    Diagonal,
-    /// No task-level prescreening (ablation).
-    Off,
-}
+use phi_dmpi::WorldConfig;
+use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
 /// Routes canonical Fock updates to FI / FJ / the shared matrix (one
 /// instance per spin channel).
@@ -86,200 +66,85 @@ impl FockSink for SharedFockSink<'_> {
     }
 }
 
-/// Build `G(D)` with Algorithm 3 over `n_ranks` ranks x `n_threads` threads.
-pub fn build_g_shared_fock(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-    n_threads: usize,
-) -> GBuild {
-    build_g_shared_fock_opt(
-        basis,
-        pairs,
-        screening,
-        tau,
-        d,
-        n_ranks,
-        n_threads,
-        TaskPrescreen::QMax,
-        true,
-    )
-}
-
-/// Restricted full-control variant: `prescreen` selects the task-level
-/// screen, and `lazy_fi` toggles the lazy-FI-flush optimization (the
-/// `ablation_flush` experiment flushes FI after every task instead).
-#[allow(clippy::too_many_arguments)]
-pub fn build_g_shared_fock_opt(
-    basis: &BasisSet,
-    pairs: &ShellPairs,
-    screening: &Screening,
-    tau: f64,
-    d: &Mat,
-    n_ranks: usize,
-    n_threads: usize,
-    prescreen: TaskPrescreen,
-    lazy_fi: bool,
-) -> GBuild {
-    build_shared_fock_set(
-        &FockContext::new(basis, pairs, screening, tau),
-        &DensitySet::Restricted(d),
-        n_ranks,
-        n_threads,
-        prescreen,
-        lazy_fi,
-        None,
-        RetryPolicy::default(),
-    )
-}
-
-/// Spin-generalized Algorithm 3: one shared Fock matrix and one FI/FJ
-/// buffer pair per spin channel; every quartet is digested into all
-/// channels before the shared kl element leaves the thread.
-#[allow(clippy::too_many_arguments)]
-pub fn build_shared_fock_set(
+/// Spin-generalized Algorithm 3 over the ranks of `cfg` x `n_threads`
+/// threads: one shared Fock matrix and one FI/FJ buffer pair per spin
+/// channel; every quartet is digested into all channels before the shared
+/// kl element leaves the thread.
+pub(crate) fn build(
     ctx: &FockContext<'_>,
     dens: &DensitySet<'_>,
-    n_ranks: usize,
+    cfg: WorldConfig,
     n_threads: usize,
-    prescreen: TaskPrescreen,
-    lazy_fi: bool,
-    faults: Option<&FaultPlan>,
-    retry: RetryPolicy,
 ) -> GBuild {
     let basis = ctx.basis;
     let n = basis.n_basis();
     let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
-    let max_width = basis.shells.iter().map(|s| s.n_functions()).max().unwrap_or(1);
+    let max_width = basis.max_shell_functions();
     let work = dens.prepare();
     let nch = work.n_channels();
 
-    let cfg = WorldConfig { n_ranks, faults: faults.cloned(), retry };
-    let world = phi_dmpi::run_world_with_config(cfg, |rank| {
-        let _span = phi_trace::span("fock.build");
-        let start = Instant::now();
-        let mut d_rank = rank.alloc_f64(nch * n * n);
-        match *dens {
-            DensitySet::Restricted(d) => d_rank.copy_from_slice(d.as_slice()),
-            DensitySet::Unrestricted { alpha, beta } => {
-                d_rank[..n * n].copy_from_slice(alpha.as_slice());
-                d_rank[n * n..].copy_from_slice(beta.as_slice());
-            }
-        }
-        rank.charge_bytes(replicated_readonly_bytes(n));
-        // One shell-pair dataset per rank, shared read-only by all threads.
-        rank.charge_bytes(ctx.pairs.bytes());
-
+    replicated_result(run_ranks(cfg, &[], |rank| {
+        let _inputs = replicate_inputs(rank, ctx, dens);
         // The rank's shared Fock matrices, one per channel (line 4:
         // shared(Fock)).
         let focks: Vec<SharedAccumulator> =
             (0..nch).map(|_| SharedAccumulator::new(n * n)).collect();
-        rank.charge_bytes(nch * n * n * std::mem::size_of::<f64>());
+        let _focks = Charge::new(rank, nch * n * n * std::mem::size_of::<f64>());
         // FI / FJ: mxsize x nthreads padded column buffers (lines 1-3),
         // one pair per channel.
-        let fis: Vec<PaddedColumns> =
-            (0..nch).map(|_| PaddedColumns::new(n * max_width, n_threads)).collect();
-        let fjs: Vec<PaddedColumns> =
-            (0..nch).map(|_| PaddedColumns::new(n * max_width, n_threads)).collect();
-        rank.charge_bytes(fis.iter().chain(&fjs).map(|p| p.bytes()).sum());
+        let columns = || -> Vec<PaddedColumns> {
+            (0..nch).map(|_| PaddedColumns::new(n * max_width, n_threads)).collect()
+        };
+        let (fis, fjs) = (columns(), columns());
+        let _columns = Charge::new(rank, fis.iter().chain(&fjs).map(|p| p.bytes()).sum());
+        // Reduce one buffer set's rows of `shell` into the shared Fock.
+        let flush_rows = |tctx: &ThreadCtx<'_>, bufs: &[PaddedColumns], shell: usize, span| {
+            let _span = phi_trace::span(span);
+            let sh = &basis.shells[shell];
+            let lo = sh.first_bf;
+            for (buf, fock) in bufs.iter().zip(&focks) {
+                buf.flush_prefix_with(tctx, sh.n_functions() * n, |row, sum| {
+                    let g = lo + row / n;
+                    let other = row % n;
+                    let idx = if g >= other { g * n + other } else { other * n + g };
+                    fock.add(idx, sum);
+                });
+            }
+        };
 
-        let team = Team::new(n_threads);
-        let current_ij = AtomicUsize::new(0);
-        // If this errors the rank is already doomed; the master's first
-        // lease claim below observes the same condition and unwinds the
-        // whole team cleanly.
-        let _ = rank.lease_reset(n_pair, LeaseMode::Volatile);
-
-        let thread_stats = team.parallel(|tctx| {
-            let mut engine = ctx.engine();
-            let mut eri_buf: Vec<f64> = Vec::new();
-            let mut computed = 0u64;
-            let mut screened = 0u64;
-            let mut tasks = 0usize;
+        let leases = TeamLeases::new(rank, ns * (ns + 1) / 2);
+        let threads = Team::new(n_threads).parallel(|tctx| {
+            let mut w = Worker::new(ctx);
+            // Counted on the master only, so the per-thread trace
+            // counters sum to stats.flushes.
             let mut flushes = 0u64;
-            // (shell index, first_bf) of the last task's i shell; identical
-            // across threads because every thread follows the same task
-            // sequence.
-            let mut iold: Option<usize> = None;
-
-            let flush_fi = |tctx: &phi_omp::ThreadCtx<'_>, shell: usize| {
-                let _span = phi_trace::span("fock.flush_fi");
-                let sh = &basis.shells[shell];
-                let (lo, width) = (sh.first_bf, sh.n_functions());
-                for (fi, fock) in fis.iter().zip(&focks) {
-                    fi.flush_prefix_with(tctx, width * n, |row, sum| {
-                        let gi = lo + row / n;
-                        let other = row % n;
-                        let idx = if gi >= other { gi * n + other } else { other * n + gi };
-                        fock.add(idx, sum);
-                    });
+            let mut flush = |bufs: &[PaddedColumns], shell: usize, span: &'static str| {
+                flush_rows(tctx, bufs, shell, span);
+                if tctx.is_master() {
+                    flushes += nch as u64;
                 }
             };
-
-            let mut prev_task: Option<usize> = None;
-            loop {
-                // Master pulls the next combined ij lease (lines 7-10).
-                // The previous task only counts as complete here — after
-                // the trailing barrier of its kl loop (or the prescreen
-                // path's explicit barrier) proved the team finished it.
-                // A kill fires inside the claim; the master then
-                // broadcasts the DEAD sentinel and the team unwinds.
-                tctx.master(|| {
-                    if let Some(p) = prev_task.take() {
-                        rank.lease_complete(p);
-                    }
-                    let next = match rank.lease_next() {
-                        Ok(Some(t)) => {
-                            prev_task = Some(t);
-                            t
-                        }
-                        Ok(None) => TASK_DONE,
-                        Err(_) => TASK_DEAD,
-                    };
-                    current_ij.store(next, Ordering::SeqCst);
-                });
-                tctx.barrier();
-                let ij = current_ij.load(Ordering::SeqCst);
-                if ij >= n_pair {
-                    break;
-                }
+            // The last task's i shell; identical across threads because
+            // every thread follows the same task sequence.
+            let mut iold: Option<usize> = None;
+            // Master pulls the next combined ij lease (lines 7-10).
+            leases.run(tctx, &mut w, |w, ij| {
                 let (i, j) = pair_decode(ij);
-                // Task-level prescreen (lines 13-14).
-                let survives = match prescreen {
-                    TaskPrescreen::QMax => ctx.task_survives(i, j),
-                    TaskPrescreen::Diagonal => ctx.survives(i, j, i, j),
-                    TaskPrescreen::Off => true,
-                };
-                if !survives {
-                    // A barrier before looping: every thread must have read
-                    // current_ij before the master overwrites it with the
-                    // next pull. (The surviving path gets this for free from
-                    // the kl-loop's trailing barrier; without this one, a
-                    // slow thread can miss a task entirely and the team's
-                    // collective-call sequences diverge — deadlock.)
-                    tctx.barrier();
-                    continue;
-                }
-                if tctx.is_master() {
-                    tasks += 1;
-                }
-                // Flush FI when i changes (lines 15-18) — or every task in
-                // the ablation configuration.
-                if let Some(io) = iold {
-                    if io != i || !lazy_fi {
-                        flush_fi(tctx, io);
-                        if tctx.is_master() {
-                            flushes += nch as u64;
-                        }
+                let klmax = pair_index(i, j) + 1;
+                // Task-level prescreen (lines 13-14): every one of the
+                // task's quartets would fail the quartet test.
+                if !ctx.task_survives(i, j) {
+                    if tctx.is_master() {
+                        w.screened += klmax as u64;
                     }
+                    return false;
+                }
+                // Flush FI when i changes (lines 15-18).
+                if let Some(io) = iold.filter(|&io| io != i) {
+                    flush(&fis, io, "fock.flush_fi");
                 }
 
-                let sh_i = &basis.shells[i];
-                let sh_j = &basis.shells[j];
+                let (sh_i, sh_j) = (&basis.shells[i], &basis.shells[j]);
                 let mut sinks: Vec<SharedFockSink<'_>> = (0..nch)
                     .map(|ch| SharedFockSink {
                         fi_col: fis[ch].col_mut(tctx.thread_num()),
@@ -292,129 +157,45 @@ pub fn build_shared_fock_set(
                         j_hi: sh_j.first_bf + sh_j.n_functions(),
                     })
                     .collect();
-
                 // Workshared kl loop (lines 19-30).
-                let klmax = pair_index(i, j) + 1;
                 tctx.for_each(klmax, Schedule::dynamic1(), |kl| {
                     let (k, l) = pair_decode(kl);
-                    if !ctx.survives(i, j, k, l) {
-                        screened += 1;
-                        return;
+                    if let Some(eri) = w.quartet(i, j, k, l) {
+                        digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks);
                     }
-                    let (bra, ket) = (ctx.pairs.pair(i, j), ctx.pairs.pair(k, l));
-                    eri_buf.clear();
-                    eri_buf.resize(bra.n_fn() * ket.n_fn(), 0.0);
-                    engine.shell_quartet_pairs(bra, ket, &mut eri_buf);
-                    digest_quartet_dens(basis, i, j, k, l, &eri_buf, &work, &mut sinks);
-                    computed += 1;
                 });
 
                 // Flush FJ after every kl loop (lines 31-32).
-                {
-                    let _span = phi_trace::span("fock.flush_fj");
-                    let width_j = sh_j.n_functions();
-                    let j_lo = sh_j.first_bf;
-                    for (fj, fock) in fjs.iter().zip(&focks) {
-                        fj.flush_prefix_with(tctx, width_j * n, |row, sum| {
-                            let gj = j_lo + row / n;
-                            let other = row % n;
-                            let idx = if gj >= other { gj * n + other } else { other * n + gj };
-                            fock.add(idx, sum);
-                        });
-                    }
-                    if tctx.is_master() {
-                        flushes += nch as u64;
-                    }
-                }
+                flush(&fjs, j, "fock.flush_fj");
                 iold = Some(i);
-            }
-
+                true
+            });
             // Flush the FI remainder (line 36).
             if let Some(io) = iold {
-                flush_fi(tctx, io);
-                if tctx.is_master() {
-                    flushes += nch as u64;
-                }
+                flush(&fis, io, "fock.flush_fi");
             }
-
-            // Per-thread counter totals (accumulated in plain locals, no
-            // per-quartet events); flushes is master-counted, so summing
-            // the per-thread contributions reconciles with stats.flushes.
-            phi_trace::counter("quartets_computed", computed);
-            phi_trace::counter("quartets_screened", screened);
-            phi_trace::counter("flushes", flushes);
-            phi_trace::counter("eri.spec_quartets", engine.spec_quartets_computed());
-            FockBuildStats {
-                quartets_computed: computed,
-                quartets_screened: screened,
-                prim_quartets: engine.prim_quartets_computed(),
-                eri_class_quartets: engine.class_counts().to_vec(),
-                dlb_tasks: tasks,
-                flushes,
-                ..Default::default()
-            }
+            w.finish(flushes)
         });
 
         // 2e-Fock reduction over the surviving MPI ranks (line 38) — one
         // collective covering every spin channel. A killed rank's shared
         // Fock is abandoned here; its leases were reissued to survivors.
-        let mut dead = !rank.alive();
-        let mut fbuf: Vec<f64> = Vec::with_capacity(nch * n * n);
-        for fock in &focks {
-            fbuf.extend(fock.snapshot());
-        }
-        if !dead {
-            dead = rank.try_gsumf(&mut fbuf).is_err();
-        }
-
-        rank.release_bytes(fis.iter().chain(&fjs).map(|p| p.bytes()).sum());
-        rank.release_bytes(nch * n * n * std::mem::size_of::<f64>());
-        rank.release_bytes(replicated_readonly_bytes(n));
-        rank.release_bytes(ctx.pairs.bytes());
-
-        let mut stats = FockBuildStats::default();
-        for ts in &thread_stats {
-            stats = FockBuildStats::merge(stats, ts);
-        }
-        stats.seconds = start.elapsed().as_secs_f64();
-        let result = if !dead && rank.is_lowest_live() { Some(fbuf) } else { None };
-        (result, stats)
-    });
-
-    let failed = world.failed_ranks();
-    let mut stats = FockBuildStats::default();
-    let mut g_buf = None;
-    for (buf, s) in world.per_rank {
-        stats = FockBuildStats::merge(stats, &s);
-        if let Some(b) = buf {
-            g_buf = Some(b);
-        }
-    }
-    stats.memory_total_peak = world.memory.total_peak();
-    stats.per_rank_peak = world.memory.per_rank_peak.clone();
-    stats.dlb_calls = world.dlb_calls;
-    stats.faults_injected = world.faults_injected;
-    stats.tasks_reclaimed = world.tasks_reclaimed;
-    stats.retries = world.lease_retries;
-    stats.failed_ranks = failed.clone();
-    stats.retransmits = world.retransmits;
-    stats.acks = world.acks;
-    stats.corruptions_detected = world.corruptions_detected;
-    stats.transient_recoveries = world.transient_recoveries;
-    let bufs = g_buf.unwrap_or_else(|| {
-        panic!("no surviving rank returned the reduced Fock (failed ranks: {failed:?})")
-    });
-    GBuild::from_channels(ReplicatedFock::from_raw(bufs, nch, n).into_mats(), stats)
+        let snapshot = focks.iter().flat_map(|f| f.snapshot()).collect();
+        let fock = ReplicatedFock::from_raw(snapshot, nch, n);
+        let stats = threads.iter().fold(FockBuildStats::default(), FockBuildStats::merge);
+        (gsum_replicated(rank, rank.alive(), fock), stats)
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::mpi_only::build_g_mpi_only;
-    use crate::fock::private_fock::build_g_private_fock;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::{FockBuilder, FockData};
+    use crate::fock::FockAlgorithm;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
+    use phi_chem::BasisSet;
+    use phi_linalg::Mat;
 
     fn density(n: usize) -> Mat {
         Mat::from_fn(n, n, |i, j| {
@@ -423,20 +204,20 @@ mod tests {
         })
     }
 
-    fn pairs_and_screening(b: &BasisSet) -> (ShellPairs, Screening) {
-        let pairs = ShellPairs::build(b);
-        let s = Screening::from_pairs(b, &pairs);
-        (pairs, s)
+    fn shared(n_ranks: usize, n_threads: usize) -> Box<dyn FockBuilder> {
+        FockAlgorithm::SharedFock { n_ranks, n_threads }.builder()
     }
 
     #[test]
     fn matches_serial_across_rank_thread_grids() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-12, &d).g;
+        let dens = DensitySet::Restricted(&d);
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens).g;
         for (r, t) in [(1, 1), (1, 4), (2, 2), (2, 3)] {
-            let got = build_g_shared_fock(&b, &pairs, &s, 1e-12, &d, r, t);
+            let got = shared(r, t).build(&ctx, &dens);
             assert!(
                 got.g.max_abs_diff(&want) < 1e-10,
                 "{r} ranks x {t} threads: diff {}",
@@ -448,43 +229,13 @@ mod tests {
     #[test]
     fn matches_serial_with_d_functions() {
         let b = BasisSet::build(&small::water(), BasisName::B631gd);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-11);
         let d = density(b.n_basis());
-        let want = build_g_serial(&b, &pairs, &s, 1e-11, &d).g;
-        let got = build_g_shared_fock(&b, &pairs, &s, 1e-11, &d, 2, 2);
+        let dens = DensitySet::Restricted(&d);
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens).g;
+        let got = shared(2, 2).build(&ctx, &dens);
         assert!(got.g.max_abs_diff(&want) < 1e-9, "diff {}", got.g.max_abs_diff(&want));
-    }
-
-    #[test]
-    fn eager_fi_flush_gives_identical_result() {
-        let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
-        let d = density(b.n_basis());
-        let lazy =
-            build_g_shared_fock_opt(&b, &pairs, &s, 1e-12, &d, 1, 3, TaskPrescreen::QMax, true);
-        let eager =
-            build_g_shared_fock_opt(&b, &pairs, &s, 1e-12, &d, 1, 3, TaskPrescreen::QMax, false);
-        assert!(lazy.g.max_abs_diff(&eager.g) < 1e-10);
-        // Eager flushing performs strictly more FI flushes; both count them.
-        assert!(lazy.stats.flushes > 0);
-        assert!(eager.stats.flushes > lazy.stats.flushes);
-    }
-
-    #[test]
-    fn prescreen_variants_agree_on_dense_systems() {
-        // For a compact molecule nothing is prescreened away, so all three
-        // policies give the same G.
-        let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
-        let d = density(b.n_basis());
-        let qmax =
-            build_g_shared_fock_opt(&b, &pairs, &s, 1e-10, &d, 1, 2, TaskPrescreen::QMax, true);
-        let diag =
-            build_g_shared_fock_opt(&b, &pairs, &s, 1e-10, &d, 1, 2, TaskPrescreen::Diagonal, true);
-        let off =
-            build_g_shared_fock_opt(&b, &pairs, &s, 1e-10, &d, 1, 2, TaskPrescreen::Off, true);
-        assert!(qmax.g.max_abs_diff(&off.g) < 1e-10);
-        assert!(diag.g.max_abs_diff(&off.g) < 1e-10);
     }
 
     #[test]
@@ -496,14 +247,16 @@ mod tests {
         // surviving task (wrong Fock matrix). Dense molecules (water etc.)
         // never prescreen, which is why only sparse systems exposed it.
         let b = BasisSet::build(&small::h_chain(8, 5.0), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
-        let d = density(b.n_basis());
+        let data = FockData::build(&b);
         let tau = 1e-10;
-        let want = build_g_serial(&b, &pairs, &s, tau, &d).g;
+        let ctx = data.context(&b, tau);
+        let d = density(b.n_basis());
+        let dens = DensitySet::Restricted(&d);
+        let want = FockAlgorithm::Serial.builder().build(&ctx, &dens).g;
         for (r, t) in [(1, 2), (1, 4), (2, 3)] {
             // Repeat several times: the race was timing-dependent.
             for round in 0..5 {
-                let got = build_g_shared_fock(&b, &pairs, &s, tau, &d, r, t);
+                let got = shared(r, t).build(&ctx, &dens);
                 assert!(
                     got.g.max_abs_diff(&want) < 1e-10,
                     "{r}x{t} round {round}: diff {}",
@@ -517,12 +270,16 @@ mod tests {
     fn memory_hierarchy_matches_the_paper() {
         // At equal core counts: MPI-only > private Fock > shared Fock.
         let b = BasisSet::build(&small::water(), BasisName::B631g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-12);
         let d = density(b.n_basis());
+        let dens = DensitySet::Restricted(&d);
         let cores = 4;
-        let mpi = build_g_mpi_only(&b, &pairs, &s, 1e-12, &d, cores);
-        let prv = build_g_private_fock(&b, &pairs, &s, 1e-12, &d, 1, cores);
-        let shr = build_g_shared_fock(&b, &pairs, &s, 1e-12, &d, 1, cores);
+        let mpi = FockAlgorithm::MpiOnly { n_ranks: cores }.builder().build(&ctx, &dens);
+        let prv = FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: cores }
+            .builder()
+            .build(&ctx, &dens);
+        let shr = shared(1, cores).build(&ctx, &dens);
         assert!(
             mpi.stats.memory_total_peak > prv.stats.memory_total_peak,
             "MPI {} <= private {}",
@@ -540,9 +297,10 @@ mod tests {
     #[test]
     fn task_count_equals_surviving_pairs() {
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
-        let (pairs, s) = pairs_and_screening(&b);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-14);
         let d = density(b.n_basis());
-        let out = build_g_shared_fock(&b, &pairs, &s, 1e-14, &d, 2, 2);
+        let out = shared(2, 2).build(&ctx, &DensitySet::Restricted(&d));
         let ns = b.n_shells();
         // Water/STO-3G is compact: no pair is prescreened at 1e-14.
         assert_eq!(out.stats.dlb_tasks, ns * (ns + 1) / 2);

@@ -137,7 +137,8 @@ impl FockBuilder for IncoreEris {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fock::serial::build_g_serial;
+    use crate::fock::engine::FockContext;
+    use crate::fock::serial::build_serial;
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
 
@@ -163,7 +164,8 @@ mod tests {
         for seed in 0..3 {
             let mut d = density(b.n_basis());
             d.scale(1.0 + seed as f64 * 0.5);
-            let direct = build_g_serial(&b, &pairs, &s, tau, &d).g;
+            let ctx = FockContext::new(&b, &pairs, &s, tau);
+            let direct = build_serial(&ctx, &DensitySet::Restricted(&d)).g;
             let incore = eris.build_g(&b, &d).g;
             assert!(
                 direct.max_abs_diff(&incore) < 1e-11,
@@ -177,8 +179,6 @@ mod tests {
     fn incore_replays_unrestricted_sets() {
         // The stored-integral replay must agree with the direct serial
         // UHF digestion on both spin channels.
-        use crate::fock::engine::FockContext;
-        use crate::fock::serial::build_serial;
         let b = BasisSet::build(&small::water(), BasisName::Sto3g);
         let (pairs, s) = pairs_and_screening(&b);
         let tau = 1e-10;
@@ -202,7 +202,9 @@ mod tests {
         let b = BasisSet::build(&small::methane(), BasisName::Sto3g);
         let (pairs, s) = pairs_and_screening(&b);
         let eris = IncoreEris::compute(&b, &pairs, &s, 1e-10, 1 << 30).expect("fits");
-        let direct = build_g_serial(&b, &pairs, &s, 1e-10, &density(b.n_basis()));
+        let d = density(b.n_basis());
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-10);
+        let direct = build_serial(&ctx, &DensitySet::Restricted(&d));
         assert_eq!(eris.n_quartets() as u64, direct.stats.quartets_computed);
         assert!(eris.stored_bytes() > 0);
     }
@@ -228,7 +230,8 @@ mod tests {
         let (pairs, s) = pairs_and_screening(&b);
         let d = density(b.n_basis());
         let eris = IncoreEris::compute(&b, &pairs, &s, 1e-10, 1 << 30).expect("fits");
-        let direct = build_g_serial(&b, &pairs, &s, 1e-10, &d);
+        let ctx = FockContext::new(&b, &pairs, &s, 1e-10);
+        let direct = build_serial(&ctx, &DensitySet::Restricted(&d));
         let incore = eris.build_g(&b, &d);
         assert!(direct.stats.prim_quartets > 0, "direct build evaluates primitives");
         assert_eq!(incore.stats.prim_quartets, 0, "replay never touches the ERI engine");

@@ -17,8 +17,11 @@
 //!   thread-private `FI`/`FJ` column buffers with lazy `FI` flushing.
 //!
 //! A serial reference builder ([`fock::serial`]) defines ground truth (up
-//! to floating-point summation order) for all three, and
-//! [`fock::distributed`] adds the related-work distributed-data baseline.
+//! to floating-point summation order) for all three;
+//! [`fock::distributed`] adds the related-work distributed-data baseline
+//! and [`fock::sharded`] the fully sharded build. All of them share one
+//! task skeleton (lease loops, quartet worker, stats epilogue), so each
+//! builder states only its task split, density reads and Fock writes.
 //!
 //! All builders sit behind one engine layer ([`fock::engine`]): drivers
 //! assemble a [`FockContext`] (basis + persistent shell pairs + screening)

@@ -119,10 +119,13 @@ pub fn purify_density_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fock::engine::FockData;
+    use crate::fock::serial::build_serial;
+    use crate::fock::DensitySet;
     use crate::guess::{core_guess, density_from_orbitals, solve_roothaan};
     use phi_chem::basis::{BasisName, BasisSet};
     use phi_chem::geom::small;
-    use phi_integrals::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix, Screening};
+    use phi_integrals::{kinetic_matrix, nuclear_attraction_matrix, overlap_matrix};
     use phi_linalg::sym_inv_sqrt;
 
     fn water_fock() -> (Mat, Mat, Mat, usize) {
@@ -132,10 +135,9 @@ mod tests {
         let h = kinetic_matrix(&b).add(&nuclear_attraction_matrix(&b, &mol));
         let x = sym_inv_sqrt(&s, 1e-8);
         // One SCF iteration's Fock matrix (guess density).
-        let pairs = phi_integrals::ShellPairs::build(&b);
-        let screening = Screening::from_pairs(&b, &pairs);
+        let data = FockData::build(&b);
         let d0 = core_guess(&h, &x, mol.n_occupied());
-        let g = crate::fock::serial::build_g_serial(&b, &pairs, &screening, 1e-10, &d0).g;
+        let g = build_serial(&data.context(&b, 1e-10), &DensitySet::Restricted(&d0)).g;
         (h.add(&g), x, s, mol.n_occupied())
     }
 
@@ -200,13 +202,13 @@ mod tests {
         let s = overlap_matrix(&b);
         let h = kinetic_matrix(&b).add(&nuclear_attraction_matrix(&b, &mol));
         let x = sym_inv_sqrt(&s, 1e-8);
-        let pairs = phi_integrals::ShellPairs::build(&b);
-        let screening = Screening::from_pairs(&b, &pairs);
+        let data = FockData::build(&b);
+        let ctx = data.context(&b, 1e-10);
         let n_occ = mol.n_occupied();
         let mut d = core_guess(&h, &x, n_occ);
         let mut energy = 0.0;
         for _ in 0..60 {
-            let g = crate::fock::serial::build_g_serial(&b, &pairs, &screening, 1e-10, &d).g;
+            let g = build_serial(&ctx, &DensitySet::Restricted(&d)).g;
             let f = h.add(&g);
             energy = 0.5 * (d.dot(&h) + d.dot(&f)) + mol.nuclear_repulsion();
             d = purify_density(&f, &x, n_occ, 200, 1e-13).density;

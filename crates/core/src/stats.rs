@@ -197,7 +197,8 @@ mod tests {
         let s = Screening::from_pairs(&b, &pairs);
         let d = Mat::identity(b.n_basis());
         let session = phi_trace::TraceSession::begin();
-        let out = crate::fock::serial::build_g_serial(&b, &pairs, &s, 1e-10, &d);
+        let ctx = crate::FockContext::new(&b, &pairs, &s, 1e-10);
+        let out = crate::fock::serial::build_serial(&ctx, &crate::DensitySet::Restricted(&d));
         let report = session.finish();
         assert_eq!(report.counter_total("quartets_computed"), out.stats.quartets_computed);
         assert_eq!(report.counter_total("quartets_screened"), out.stats.quartets_screened);

@@ -439,7 +439,8 @@ mod tests {
     #[test]
     fn jk_pieces_recombine_to_rhf_g() {
         // G(D) = J(D) - K(D)/2 must equal the one-pass RHF digestion.
-        use crate::fock::serial::{build_g_serial, build_jk_serial};
+        use crate::fock::engine::FockContext;
+        use crate::fock::serial::{build_jk_serial, build_serial};
         use phi_integrals::{Screening, ShellPairs};
         let mol = small::water();
         let b = BasisSet::build(&mol, BasisName::Sto3g);
@@ -450,7 +451,7 @@ mod tests {
             let (i, j) = if i >= j { (i, j) } else { (j, i) };
             0.1 + ((i + 3 * j) % 5) as f64 * 0.07
         });
-        let g = build_g_serial(&b, &pairs, &s, 0.0, &d).g;
+        let g = build_serial(&FockContext::new(&b, &pairs, &s, 0.0), &DensitySet::Restricted(&d)).g;
         let j = build_jk_serial(&b, &pairs, &s, 0.0, &d, 1.0, 0.0).g;
         let mk_half = build_jk_serial(&b, &pairs, &s, 0.0, &d, 0.0, -0.5).g;
         let recombined = j.add(&mk_half);

@@ -13,7 +13,9 @@ use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::{graphene, small};
 use phi_scf::chem::Molecule;
 use phi_scf::dmpi::{DdiMode, FaultPlan};
-use phi_scf::hf::{mp2_energy, run_scf, run_uhf, FockAlgorithm, MemoryModel, ScfConfig, UhfConfig};
+use phi_scf::hf::{
+    mp2_energy, run_scf, run_uhf, FockAlgorithm, FockBuildStats, MemoryModel, ScfConfig, UhfConfig,
+};
 
 const HELP: &str = "\
 phi-scf — Hartree-Fock with the SC'17 hybrid MPI/OpenMP Fock builders
@@ -388,11 +390,15 @@ fn run() -> Result<(), String> {
             r.converged
         );
         if let Some(s) = r.fock_stats.first() {
+            let dlb = if tracked_world(&r.fock_stats) {
+                format!(", {} DLB calls", s.dlb_calls)
+            } else {
+                String::new()
+            };
             println!(
-                "per build: {} quartets computed, {:.1}% screened, {} DLB calls",
+                "per build: {} quartets computed, {:.1}% screened{dlb}",
                 s.quartets_computed,
-                s.screened_fraction() * 100.0,
-                s.dlb_calls
+                s.screened_fraction() * 100.0
             );
         }
         print_fault_summary(&r.fock_stats);
@@ -426,21 +432,29 @@ fn run() -> Result<(), String> {
         r.converged
     );
     print_fault_summary(&r.fock_stats);
-    let rank_peak = r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0);
+    // Memory and DLB fields only mean something when a build ran a
+    // tracked world; serial and in-core runs omit them.
+    let tracked = tracked_world(&r.fock_stats);
+    let memory = if tracked {
+        let rank_peak = r.fock_stats.iter().map(|s| s.max_rank_peak()).max().unwrap_or(0);
+        format!(
+            "; peak tracked memory {} bytes ({rank_peak} bytes on the busiest rank)",
+            r.peak_memory()
+        )
+    } else {
+        String::new()
+    };
     println!(
-        "time to form Fock: {:.3} s over {} builds; peak tracked memory {} bytes \
-         ({} bytes on the busiest rank)",
+        "time to form Fock: {:.3} s over {} builds{memory}",
         r.time_to_form_fock(),
-        r.fock_stats.len(),
-        r.peak_memory(),
-        rank_peak
+        r.fock_stats.len()
     );
     if let Some(s) = r.fock_stats.first() {
+        let dlb = if tracked { format!(", {} DLB tasks", s.dlb_tasks) } else { String::new() };
         println!(
-            "per build: {} quartets computed, {:.1}% screened, {} DLB tasks",
+            "per build: {} quartets computed, {:.1}% screened{dlb}",
             s.quartets_computed,
-            s.screened_fraction() * 100.0,
-            s.dlb_tasks
+            s.screened_fraction() * 100.0
         );
     }
     if incremental {
@@ -461,6 +475,12 @@ fn run() -> Result<(), String> {
         println!("MP2: E_corr = {:.8} Eh, total = {:.8} Eh", c.correlation_energy, c.total_energy);
     }
     Ok(())
+}
+
+/// Whether any build ran a tracked world (every parallel builder does; the
+/// serial and in-core builds do not).
+fn tracked_world(stats: &[FockBuildStats]) -> bool {
+    stats.iter().any(|s| !s.per_rank_peak.is_empty())
 }
 
 /// Finish the trace session, write the Chrome trace_event JSON, and print
@@ -489,7 +509,7 @@ fn write_trace(session: phi_scf::trace::TraceSession, path: &str) -> Result<(), 
 }
 
 /// If any build injected faults, summarize the recovery across iterations.
-fn print_fault_summary(stats: &[phi_scf::hf::FockBuildStats]) {
+fn print_fault_summary(stats: &[FockBuildStats]) {
     let injected: usize = stats.iter().map(|s| s.faults_injected).sum();
     if injected == 0 {
         return;

@@ -5,7 +5,7 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::hf::fock::{distributed, mpi_only, private_fock, serial, shared_fock};
+use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext};
 use phi_scf::integrals::{Screening, ShellPairs};
 use phi_scf::linalg::Mat;
 
@@ -100,15 +100,17 @@ fn all_parallel_builders_share_pairs_and_match_serial() {
     let s = Screening::from_pairs(&b, &pairs);
     let d = density(b.n_basis());
     let tau = 1e-10;
+    let ctx = FockContext::new(&b, &pairs, &s, tau);
+    let dens = DensitySet::Restricted(&d);
 
-    let want = serial::build_g_serial(&b, &pairs, &s, tau, &d);
-    let builds = [
-        ("MPI-only", mpi_only::build_g_mpi_only(&b, &pairs, &s, tau, &d, 3)),
-        ("private Fock", private_fock::build_g_private_fock(&b, &pairs, &s, tau, &d, 2, 2)),
-        ("shared Fock", shared_fock::build_g_shared_fock(&b, &pairs, &s, tau, &d, 2, 2)),
-        ("distributed", distributed::build_g_distributed(&b, &pairs, &s, tau, &d, 2)),
-    ];
-    for (name, got) in builds {
+    let want = FockAlgorithm::Serial.builder().build(&ctx, &dens);
+    for alg in [
+        FockAlgorithm::MpiOnly { n_ranks: 3 },
+        FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 },
+        FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 },
+        FockAlgorithm::Distributed { n_ranks: 2 },
+    ] {
+        let (name, got) = (alg.label(), alg.builder().build(&ctx, &dens));
         assert_eq!(
             got.stats.quartets_computed, want.stats.quartets_computed,
             "{name}: computed-quartet census drifted from serial"
@@ -130,16 +132,18 @@ fn shared_pairs_memory_is_charged_per_rank() {
     let pairs = ShellPairs::build(&b);
     let s = Screening::from_pairs(&b, &pairs);
     let d = density(b.n_basis());
-    let two_threads = private_fock::build_g_private_fock(&b, &pairs, &s, 1e-10, &d, 1, 2);
-    let four_threads = private_fock::build_g_private_fock(&b, &pairs, &s, 1e-10, &d, 1, 4);
+    let ctx = FockContext::new(&b, &pairs, &s, 1e-10);
+    let build = |alg: FockAlgorithm| alg.builder().build(&ctx, &DensitySet::Restricted(&d));
+    let two_threads = build(FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 2 });
+    let four_threads = build(FockAlgorithm::PrivateFock { n_ranks: 1, n_threads: 4 });
     let n = b.n_basis();
     // Thread scaling adds only the private Fock copies (n^2 words each),
     // not extra pair-dataset copies.
     let delta = four_threads.stats.memory_total_peak - two_threads.stats.memory_total_peak;
     assert_eq!(delta, 2 * n * n * std::mem::size_of::<f64>());
     // Rank scaling replicates the dataset.
-    let one_rank = mpi_only::build_g_mpi_only(&b, &pairs, &s, 1e-10, &d, 1);
-    let two_ranks = mpi_only::build_g_mpi_only(&b, &pairs, &s, 1e-10, &d, 2);
+    let one_rank = build(FockAlgorithm::MpiOnly { n_ranks: 1 });
+    let two_ranks = build(FockAlgorithm::MpiOnly { n_ranks: 2 });
     let rank_delta = two_ranks.stats.memory_total_peak - one_rank.stats.memory_total_peak;
     assert!(rank_delta >= pairs.bytes());
 }

@@ -374,22 +374,24 @@ fn serial_fock_matches_with_kernels_on_and_off() {
 
 #[test]
 fn g_build_is_linear_and_symmetric() {
-    use phi_scf::hf::fock::serial::build_g_serial;
+    use phi_scf::hf::fock::{serial::build_serial, DensitySet};
+    use phi_scf::hf::FockContext;
     use phi_scf::integrals::Screening;
 
     let mol = phi_scf::chem::geom::small::hydrogen_molecule(1.4);
     let basis = BasisSet::build(&mol, BasisName::B631g);
     let pairs = ShellPairs::build(&basis);
     let screening = Screening::from_pairs(&basis, &pairs);
+    let ctx = FockContext::new(&basis, &pairs, &screening, 0.0);
     let n = basis.n_basis();
     for seed in 0..12u64 {
         let mut rng = Rng::new(seed.wrapping_mul(77).wrapping_add(5));
         let d = random_symmetric(&mut rng, n, -0.5, 0.5);
-        let g1 = build_g_serial(&basis, &pairs, &screening, 0.0, &d).g;
+        let g1 = build_serial(&ctx, &DensitySet::Restricted(&d)).g;
         assert!(g1.is_symmetric(1e-10));
         let mut d2 = d.clone();
         d2.scale(2.0);
-        let g2 = build_g_serial(&basis, &pairs, &screening, 0.0, &d2).g;
+        let g2 = build_serial(&ctx, &DensitySet::Restricted(&d2)).g;
         let mut g1x2 = g1.clone();
         g1x2.scale(2.0);
         assert!(g2.max_abs_diff(&g1x2) < 1e-9, "G not linear in D");

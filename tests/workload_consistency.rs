@@ -4,8 +4,8 @@
 
 use phi_scf::chem::basis::{BasisName, BasisSet};
 use phi_scf::chem::geom::small;
-use phi_scf::hf::fock::serial::build_g_serial;
-use phi_scf::hf::{DensitySet, FockAlgorithm, FockData};
+use phi_scf::dmpi::DdiMode;
+use phi_scf::hf::{DensitySet, FockAlgorithm, FockContext, FockData};
 use phi_scf::integrals::screening::WorkloadStats;
 use phi_scf::integrals::{Screening, ShellPairs};
 use phi_scf::linalg::Mat;
@@ -24,7 +24,8 @@ fn fenwick_counts_match_real_build_quartets() {
         let stats = WorkloadStats::compute(&basis, &screening, tau);
         let n = basis.n_basis();
         let d = Mat::identity(n);
-        let build = build_g_serial(&basis, &pairs, &screening, tau, &d);
+        let ctx = FockContext::new(&basis, &pairs, &screening, tau);
+        let build = FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(&d));
         let counted = stats.surviving_quartets() as i64;
         let real = build.stats.quartets_computed as i64;
         // Quantized-bucket boundary effects only: within 1% + small slack.
@@ -54,8 +55,12 @@ fn prescreened_tasks_do_no_work_in_the_real_builder() {
     let mono_basis = BasisSet::build(&small::water(), BasisName::Sto3g);
     let mono_pairs = ShellPairs::build(&mono_basis);
     let mono_screening = Screening::from_pairs(&mono_basis, &mono_pairs);
-    let one = build_g_serial(&mono_basis, &mono_pairs, &mono_screening, tau, &Mat::identity(7));
-    let two = build_g_serial(&basis, &pairs, &screening, tau, &d);
+    let serial = |ctx: FockContext<'_>, d: &Mat| {
+        FockAlgorithm::Serial.builder().build(&ctx, &DensitySet::Restricted(d))
+    };
+    let one =
+        serial(FockContext::new(&mono_basis, &mono_pairs, &mono_screening, tau), &Mat::identity(7));
+    let two = serial(FockContext::new(&basis, &pairs, &screening, tau), &d);
     // Schwarz keeps long-range *Coulomb* blocks (ij on fragment A | kl on
     // fragment B) — the interaction decays as 1/R, not exponentially — but
     // kills every inter-fragment *pair*. So the dimer workload grows
@@ -73,47 +78,89 @@ fn builder_counters_are_deterministic_across_algorithms() {
     // The counters the builders report (and, with the `trace` feature,
     // emit as trace counter events) are exact work accounting, not
     // timings: every parallel decomposition of the same workload must
-    // land on the same totals as the serial enumeration, run after run.
-    let basis = BasisSet::build(&small::water(), BasisName::Sto3g);
-    let data = FockData::build(&basis);
-    let tau = 1e-12;
-    let ctx = data.context(&basis, tau);
-    let n = basis.n_basis();
-    let d = Mat::from_fn(n, n, |i, j| {
-        let (i, j) = if i >= j { (i, j) } else { (j, i) };
-        0.2 + ((i * 5 + j * 11) % 7) as f64 * 0.1
-    });
-    let dens = DensitySet::Restricted(&d);
-    let serial = FockAlgorithm::Serial.builder().build(&ctx, &dens);
-    let total = serial.stats.quartets_computed + serial.stats.quartets_screened;
-
-    let ns = basis.n_shells();
-    let n_pair = ns * (ns + 1) / 2;
-    for (alg, ranks) in [
-        (FockAlgorithm::MpiOnly { n_ranks: 3 }, 3),
-        (FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 }, 2),
-        (FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 }, 2),
-        (FockAlgorithm::Distributed { n_ranks: 3 }, 3),
-    ] {
-        let got = alg.builder().build(&ctx, &dens);
-        let label = alg.label();
-        assert_eq!(
-            got.stats.quartets_computed, serial.stats.quartets_computed,
-            "{label}: every surviving quartet exactly once"
-        );
-        assert_eq!(
-            got.stats.quartets_computed + got.stats.quartets_screened,
-            total,
-            "{label}: full canonical coverage"
-        );
-        // DLB accounting: tasks pulled plus one final out-of-range claim
-        // per rank — exact, not approximate.
-        let tasks = match alg {
-            FockAlgorithm::PrivateFock { .. } => ns,
-            _ => n_pair,
-        };
-        assert_eq!(got.stats.dlb_tasks, tasks, "{label}: one lease per task");
-        assert_eq!(got.stats.dlb_calls, tasks + ranks, "{label}: claims + final polls");
+    // land on the same totals as the serial enumeration, run after run —
+    // for both spin cases and with density-weighted screening. The
+    // stretched H8 chain makes Algorithm 3's ij-task prescreen drop whole
+    // tasks, whose quartets must still count as screened.
+    let water = BasisSet::build(&small::water(), BasisName::Sto3g);
+    let h8 = BasisSet::build(&small::h_chain(8, 5.0), BasisName::B631gdp);
+    for (system, basis, tau) in [("water", &water, 1e-12), ("stretched H8", &h8, 1e-10)] {
+        let data = FockData::build(basis);
+        let n = basis.n_basis();
+        let d = Mat::from_fn(n, n, |i, j| {
+            let (i, j) = if i >= j { (i, j) } else { (j, i) };
+            0.2 + ((i * 5 + j * 11) % 7) as f64 * 0.1
+        });
+        let mut d_beta = d.clone();
+        d_beta.scale(0.6);
+        let ns = basis.n_shells();
+        let n_pair = ns * (ns + 1) / 2;
+        let canonical = (n_pair * (n_pair + 1) / 2) as u64;
+        for dens in
+            [DensitySet::Restricted(&d), DensitySet::Unrestricted { alpha: &d, beta: &d_beta }]
+        {
+            let dmax = dens.density_max(basis);
+            let plain = data.context(basis, tau);
+            for (ctx, weighting) in
+                [(plain, "static"), (plain.with_dmax(&dmax), "density-weighted")]
+            {
+                let serial = FockAlgorithm::Serial.builder().build(&ctx, &dens);
+                let total = serial.stats.quartets_computed + serial.stats.quartets_screened;
+                assert_eq!(total, canonical, "{system}: serial canonical coverage");
+                let surviving_pairs = (0..ns)
+                    .flat_map(|i| (0..=i).map(move |j| (i, j)))
+                    .filter(|&(i, j)| ctx.task_survives(i, j))
+                    .count();
+                for (alg, ranks) in [
+                    (FockAlgorithm::MpiOnly { n_ranks: 3 }, 3),
+                    (FockAlgorithm::PrivateFock { n_ranks: 2, n_threads: 2 }, 2),
+                    (FockAlgorithm::SharedFock { n_ranks: 2, n_threads: 2 }, 2),
+                    (FockAlgorithm::Distributed { n_ranks: 3 }, 3),
+                    (FockAlgorithm::Sharded { n_ranks: 2, mode: DdiMode::Mpi3OneSided }, 2),
+                ] {
+                    let got = alg.builder().build(&ctx, &dens);
+                    let label = format!(
+                        "{system}, {} channel(s), {weighting}, {}",
+                        dens.n_channels(),
+                        alg.label()
+                    );
+                    assert_eq!(
+                        got.stats.quartets_computed, serial.stats.quartets_computed,
+                        "{label}: every surviving quartet exactly once"
+                    );
+                    assert_eq!(
+                        got.stats.quartets_computed + got.stats.quartets_screened,
+                        total,
+                        "{label}: full canonical coverage"
+                    );
+                    assert_eq!(
+                        got.stats.prim_quartets, serial.stats.prim_quartets,
+                        "{label}: primitive quartets"
+                    );
+                    assert_eq!(
+                        got.stats.eri_class_quartets, serial.stats.eri_class_quartets,
+                        "{label}: per-class quartets"
+                    );
+                    // DLB accounting: tasks pulled plus one final
+                    // out-of-range claim per rank — exact, not approximate.
+                    // Shared Fock counts only the tasks its prescreen keeps.
+                    let (leases, tasks) = match alg {
+                        FockAlgorithm::PrivateFock { .. } => (ns, ns),
+                        FockAlgorithm::SharedFock { .. } => (n_pair, surviving_pairs),
+                        _ => (n_pair, n_pair),
+                    };
+                    assert_eq!(got.stats.dlb_tasks, tasks, "{label}: one lease per task");
+                    assert_eq!(
+                        got.stats.dlb_calls,
+                        leases + ranks,
+                        "{label}: claims + final polls"
+                    );
+                }
+                if system == "stretched H8" {
+                    assert!(surviving_pairs < n_pair, "{weighting}: the task prescreen must fire");
+                }
+            }
+        }
     }
 }
 
