@@ -15,10 +15,11 @@
 //! replicated-then-reduced) and lets the memory/traffic trade-off be
 //! measured with the same instrumentation.
 
+use super::digest::BlockDigest;
 use super::engine::FockContext;
 use super::matrix::RowBufferFock;
 use super::skeleton::{lease_loop, replicate_density, run_ranks, window, Charge, Worker};
-use super::{digest_quartet_dens, pair_decode, tri_to_full, DensitySet, GBuild};
+use super::{pair_decode, tri_to_full, DensitySet, GBuild};
 use phi_dmpi::{DistributedArray, LeaseMode, WorldConfig};
 
 /// Build the two-electron matrices for `dens` with DLB over `(i,j)` pairs
@@ -67,10 +68,11 @@ pub(crate) fn build(ctx: &FockContext<'_>, dens: &DensitySet<'_>, cfg: WorldConf
         // the scatter buffer from holding the whole matrix hot.
         let fault_mode = rank.faults_enabled();
         let mut w = Worker::new(ctx);
+        let (mut dig, mut src) = (BlockDigest::default(), &work);
         let alive = lease_loop(rank, ns * (ns + 1) / 2, LeaseMode::Durable, &mut w, |w, t| {
             let (i, j) = pair_decode(t);
             w.ij_task(i, j, |k, l, eri| {
-                digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
+                dig.quartet(basis, [i, j, k, l], eri, &mut src, &mut sinks[..])
             });
             if fault_mode || w.tasks.is_multiple_of(32) {
                 flush(&mut sinks);

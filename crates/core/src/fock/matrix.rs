@@ -6,25 +6,27 @@
 //!
 //! * **Replicated** — the matrices exist in full on every rank.
 //!   [`ReplicatedFock`] owns the per-channel lower-triangle accumulation
-//!   buffers every replicated builder (serial, MPI-only, private-Fock,
-//!   shared-Fock) digests into through the monomorphic digestion in
-//!   `fock/mod.rs`.
+//!   buffers the replicated builders (serial, MPI-only, private-Fock)
+//!   digest into.
 //! * **RowShard** — the matrices live in tri-packed row shards inside
 //!   [`phi_dmpi::DistributedArray`] windows, striped over ranks.
 //!   [`ShardDensity`] reads rows on demand through `get` into a bounded,
-//!   direct-indexed FIFO row cache; [`RowShardFock`] accumulates a task's
-//!   updates in dense row blocks (the paper's `FI`/`FJ` buffers adapted
-//!   to tri-packed windows) and flushes each block row as one `acc` run.
-//!   [`digest_quartet_shard`] digests through the pair. No rank ever
-//!   materializes a full `N x N` matrix — per-rank memory is the owned
-//!   window stripes plus the O(N) buffers priced by [`ShardBudget`].
+//!   direct-indexed FIFO row cache and gathers a quartet's density blocks
+//!   from it, one cached row per block row; [`RowShardFock`] accumulates
+//!   a task's digested blocks in dense row blocks (the paper's `FI`/`FJ`
+//!   buffers adapted to tri-packed windows) and flushes each block row as
+//!   one `acc` run. Both plug into the same block digestion as the
+//!   replicated builders. No rank ever materializes a full `N x N`
+//!   matrix — per-rank memory is the owned window stripes plus the O(N)
+//!   buffers priced by [`ShardBudget`].
 //!
 //! The tri-packed layout stores the lower triangle row-major:
 //! element `(p, q)` with `p >= q` lives at `p (p + 1) / 2 + q`, so one
 //! matrix costs `N (N + 1) / 2` words total across all ranks instead of
 //! `N^2` words *per* rank.
 
-use super::{DensityWork, FockSink, TriSink};
+use super::digest::{BlockView, ChannelSink, DensitySource, Quartet, QuartetDensity};
+use super::{DensityWork, FockBlock, FockSink, TriSink};
 use phi_chem::BasisSet;
 use phi_dmpi::{DdiMode, DistributedArray};
 use phi_linalg::Mat;
@@ -57,6 +59,12 @@ fn shard_flush_entries(n: usize) -> usize {
     (8 * n).max(512)
 }
 
+/// Gathered-block slots of the sharded density reader: the Coulomb `ab`
+/// and `cd` blocks plus `ac`, `ad`, `bc`, `bd` per exchange channel.
+fn gathered_slots(nch: usize) -> usize {
+    2 + 4 * nch
+}
+
 /// Per-rank resident bytes of one sharded build with `nch` spin channels
 /// over `n_ranks` ranks — the single formula the live memory tracker, the
 /// memory model and the tests all use.
@@ -65,20 +73,23 @@ pub struct ShardBudget {
     /// This rank's stripe of every density and Fock window.
     pub stripe_bytes: usize,
     /// The O(N) per-rank buffers: the density row cache with its slot
-    /// table and FIFO ring, the dense Fock row blocks, and the sparse
-    /// write buffer.
+    /// table and FIFO ring, the gathered density blocks of a quartet, the
+    /// dense Fock row blocks, and the sparse write buffer.
     pub buffer_bytes: usize,
 }
 
 impl ShardBudget {
     /// `max_shell_fns` is the basis's largest shell
     /// ([`BasisSet::max_shell_functions`]): it sets the row count of
-    /// each of the three Fock row blocks.
+    /// each of the three Fock row blocks and the size of each gathered
+    /// density block.
     pub fn new(n: usize, max_shell_fns: usize, n_ranks: usize, nch: usize) -> ShardBudget {
         // Density windows: `D` restricted; `D_total`, `D_alpha`, `D_beta` UHF.
         let n_dens = if nch == 1 { 1 } else { 3 };
         let stripe_bytes = (n_dens + nch) * tri_len(n).div_ceil(n_ranks) * size_of::<f64>();
-        let cache = shard_cache_elems(n) * size_of::<f64>() + 2 * n_dens * n * size_of::<u32>();
+        let cache = shard_cache_elems(n) * size_of::<f64>()
+            + 2 * n_dens * n * size_of::<u32>()
+            + gathered_slots(nch) * (max_shell_fns * max_shell_fns * size_of::<f64>() + HELD_BYTES);
         let blocks = 3 * nch * max_shell_fns * n * size_of::<f64>();
         let sparse = shard_flush_entries(n) * size_of::<(u64, f64)>();
         ShardBudget { stripe_bytes, buffer_bytes: cache + blocks + sparse }
@@ -206,6 +217,12 @@ pub fn gather_tri(win: &DistributedArray, n: usize) -> Mat {
 /// Slot value of a `(window, row)` the density cache does not hold.
 const NOT_CACHED: u32 = u32::MAX;
 
+/// First row and column of the block a gathered slot holds.
+type Held = (usize, usize);
+const HELD_BYTES: usize = size_of::<Held>();
+/// A gathered slot that holds no block yet.
+const NOTHING_HELD: Held = (usize::MAX, usize::MAX);
+
 /// Read side of the RowShard backend: on-demand tri-packed row fetches
 /// from the density windows into a bounded FIFO row cache.
 ///
@@ -218,6 +235,11 @@ const NOT_CACHED: u32 = u32::MAX;
 ///
 /// Window 0 is the Coulomb source (`D` restricted, `D_total` UHF);
 /// windows `1..` are the per-spin exchange densities of a UHF build.
+///
+/// Digestion reads a quartet's six density blocks as dense copies
+/// gathered from the cache one row per block row. Each block keeps its
+/// own slot and is gathered again only when its shells change: along a
+/// task's `l` loop the `ab`, `ac` and `bc` blocks stay put.
 pub struct ShardDensity<'a> {
     wins: &'a [DistributedArray],
     rank: usize,
@@ -231,11 +253,24 @@ pub struct ShardDensity<'a> {
     order: VecDeque<u32>,
     /// Arena offset of the next fetched row.
     head: usize,
+    /// Gathered density blocks, one `max_fns^2` slot each
+    /// ([`gathered_slots`]).
+    gathered: Vec<f64>,
+    /// The block each slot holds.
+    held: Vec<Held>,
+    max_fns: usize,
 }
 
 impl<'a> ShardDensity<'a> {
-    pub fn new(wins: &'a [DistributedArray], n: usize, rank: usize) -> ShardDensity<'a> {
+    /// `max_fns` is the basis's largest shell, the largest block side.
+    pub fn new(
+        wins: &'a [DistributedArray],
+        n: usize,
+        max_fns: usize,
+        rank: usize,
+    ) -> ShardDensity<'a> {
         let slots = wins.len() * n;
+        let nch = if wins.len() == 1 { 1 } else { 2 };
         let arena_len = shard_cache_elems(n);
         assert!(
             slots.max(arena_len) < NOT_CACHED as usize,
@@ -249,32 +284,20 @@ impl<'a> ShardDensity<'a> {
             arena: vec![0.0; arena_len],
             order: VecDeque::with_capacity(slots),
             head: 0,
+            gathered: vec![0.0; gathered_slots(nch) * max_fns * max_fns],
+            held: vec![NOTHING_HELD; gathered_slots(nch)],
+            max_fns,
         }
     }
 
-    /// Number of spin output channels this density feeds (1 restricted,
-    /// 2 unrestricted).
-    pub fn n_out(&self) -> usize {
-        if self.wins.len() == 1 {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// Exchange scale: RHF digests `-X/2 * D`, UHF `-X * D_s`.
-    pub fn k_factor(&self) -> f64 {
-        if self.wins.len() == 1 {
-            -0.5
-        } else {
-            -1.0
-        }
-    }
-
-    /// Bytes this reader holds: the arena plus the slot table and the
-    /// FIFO ring (one `u32` each per `(window, row)`).
+    /// Bytes this reader holds: the arena, the slot table and the FIFO
+    /// ring (one `u32` each per `(window, row)`), and the gathered
+    /// blocks.
     pub(crate) fn resident_bytes(&self) -> usize {
-        self.arena.len() * size_of::<f64>() + 2 * self.slot.len() * size_of::<u32>()
+        self.arena.len() * size_of::<f64>()
+            + 2 * self.slot.len() * size_of::<u32>()
+            + self.gathered.len() * size_of::<f64>()
+            + self.held.len() * HELD_BYTES
     }
 
     /// Arena range of the cached row behind slot `key`.
@@ -321,29 +344,98 @@ impl<'a> ShardDensity<'a> {
         pos
     }
 
-    /// Symmetric element read from window `win`.
+    /// Tri-packed row `r` of window `win` (columns `0..=r`), from the
+    /// cache.
     #[inline]
-    fn value(&mut self, win: usize, p: usize, q: usize) -> f64 {
-        let (r, c) = if p >= q { (p, q) } else { (q, p) };
+    fn row(&mut self, win: usize, r: usize) -> &[f64] {
         let key = win * self.n + r;
         let off = match self.slot[key] {
             NOT_CACHED => self.fetch(key),
             off => off as usize,
         };
-        self.arena[off + c]
+        &self.arena[off..=off + r]
     }
 
-    /// Coulomb-source element (`D` or `D_total`).
-    #[inline]
-    pub fn coulomb(&mut self, p: usize, q: usize) -> f64 {
-        self.value(0, p, q)
+    /// Copy the `np x nq` block of window `win`'s symmetric matrix with
+    /// rows from `p0` and columns from `q0` into `dst`, row-major: one
+    /// cached row per block row (per block column when the block lies
+    /// above the diagonal).
+    fn gather(&mut self, win: usize, p0: usize, np: usize, q0: usize, nq: usize, dst: &mut [f64]) {
+        if p0 > q0 {
+            for x in 0..np {
+                let row = &self.row(win, p0 + x)[q0..q0 + nq];
+                dst[x * nq..(x + 1) * nq].copy_from_slice(row);
+            }
+        } else if p0 < q0 {
+            for y in 0..nq {
+                let row = &self.row(win, q0 + y)[p0..p0 + np];
+                for (x, &v) in row.iter().enumerate() {
+                    dst[x * nq + y] = v;
+                }
+            }
+        } else {
+            for x in 0..np {
+                let row = &self.row(win, p0 + x)[p0..=p0 + x];
+                for (y, &v) in row.iter().enumerate() {
+                    dst[x * nq + y] = v;
+                    dst[y * nq + x] = v;
+                }
+            }
+        }
+    }
+}
+
+/// Sharded density: window 0 feeds Coulomb, the exchange blocks come from
+/// window 0 (RHF) or the spin channel's window (UHF).
+impl DensitySource for ShardDensity<'_> {
+    fn n_out(&self) -> usize {
+        if self.wins.len() == 1 {
+            1
+        } else {
+            2
+        }
     }
 
-    /// Exchange-source element for spin channel `ch`.
-    #[inline]
-    pub fn exchange(&mut self, ch: usize, p: usize, q: usize) -> f64 {
-        let win = if self.wins.len() == 1 { 0 } else { 1 + ch };
-        self.value(win, p, q)
+    fn k_factor(&self) -> f64 {
+        if self.wins.len() == 1 {
+            -0.5
+        } else {
+            -1.0
+        }
+    }
+
+    fn blocks(&mut self, q: &Quartet, ch: usize, coulomb: bool) -> QuartetDensity<'_> {
+        let [fa, fb, fc, fd] = q.first;
+        let [ni, nj, nk, nl] = q.n;
+        let xw = if self.wins.len() == 1 { 0 } else { 1 + ch };
+        // Slots: Coulomb ab, cd; then ac, ad, bc, bd of this channel.
+        let x0 = 2 + 4 * ch;
+        let wanted = [
+            (0, 0, fa, ni, fb, nj),
+            (1, 0, fc, nk, fd, nl),
+            (x0, xw, fa, ni, fc, nk),
+            (x0 + 1, xw, fa, ni, fd, nl),
+            (x0 + 2, xw, fb, nj, fc, nk),
+            (x0 + 3, xw, fb, nj, fd, nl),
+        ];
+        let size = self.max_fns * self.max_fns;
+        let mut gathered = std::mem::take(&mut self.gathered);
+        for &(slot, win, p0, np, q0, nq) in &wanted[if coulomb { 0 } else { 2 }..] {
+            if self.held[slot] != (p0, q0) {
+                self.gather(win, p0, np, q0, nq, &mut gathered[slot * size..]);
+                self.held[slot] = (p0, q0);
+            }
+        }
+        self.gathered = gathered;
+        let view = |slot: usize, cols| BlockView::dense(&self.gathered[slot * size..], cols);
+        QuartetDensity {
+            ab: view(0, nj),
+            cd: view(1, nl),
+            ac: view(x0, nk),
+            ad: view(x0 + 1, nl),
+            bc: view(x0 + 2, nk),
+            bd: view(x0 + 3, nl),
+        }
     }
 }
 
@@ -462,21 +554,32 @@ impl<'a> RowShardFock<'a> {
         self.rows = [0; 3];
     }
 
+    /// The row block holding canonical element `(p, q)` (`p >= q`) of the
+    /// current task, that block's first row, and whether the element is
+    /// held transposed. The answer depends only on the shells of `p` and
+    /// `q`.
+    #[inline]
+    fn route(&self, p: usize, q: usize) -> (usize, usize, bool) {
+        debug_assert!(p >= q && p < self.width, "({p},{q}) outside task width {}", self.width);
+        let lo = self.lo;
+        if p >= lo[BLOCK_I] {
+            (BLOCK_I, lo[BLOCK_I], false)
+        } else if p.wrapping_sub(lo[BLOCK_K]) < self.rows[BLOCK_K] {
+            (BLOCK_K, lo[BLOCK_K], false)
+        } else if p.wrapping_sub(lo[BLOCK_J]) < self.rows[BLOCK_J] {
+            (BLOCK_J, lo[BLOCK_J], false)
+        } else {
+            // Row in an l shell with j < l < k: the column is in shell j.
+            debug_assert!(q.wrapping_sub(lo[BLOCK_J]) < self.rows[BLOCK_J]);
+            (BLOCK_J, lo[BLOCK_J], true)
+        }
+    }
+
     /// Canonical update `F_ch[p, q] += v` (`p >= q`) of the current task.
     #[inline]
     pub fn add(&mut self, ch: usize, p: usize, q: usize, v: f64) {
-        debug_assert!(p >= q && p < self.width, "({p},{q}) outside task width {}", self.width);
-        let (b, r, c) = if p >= self.lo[BLOCK_I] {
-            (BLOCK_I, p - self.lo[BLOCK_I], q)
-        } else if p.wrapping_sub(self.lo[BLOCK_K]) < self.rows[BLOCK_K] {
-            (BLOCK_K, p - self.lo[BLOCK_K], q)
-        } else if p.wrapping_sub(self.lo[BLOCK_J]) < self.rows[BLOCK_J] {
-            (BLOCK_J, p - self.lo[BLOCK_J], q)
-        } else {
-            // Row in an l shell with j < l < k: the column is in shell j.
-            debug_assert!(q.wrapping_sub(self.lo[BLOCK_J]) < self.rows[BLOCK_J]);
-            (BLOCK_J, q - self.lo[BLOCK_J], p)
-        };
+        let (b, lo, transposed) = self.route(p, q);
+        let (r, c) = if transposed { (q - lo, p) } else { (p - lo, q) };
         self.dirty[b] = true;
         self.blocks[((ch * 3 + b) * self.max_fns + r) * self.width + c] += v;
     }
@@ -564,85 +667,33 @@ impl<'a> RowShardFock<'a> {
     }
 }
 
-/// Digest one canonical shell quartet of the current task of `fock`,
-/// reading density through `dens`.
+/// Every canonical element of a digested block shares the block's row
+/// and column shells, so one routing decision covers the whole block.
 ///
-/// Semantically identical to the monomorphic `digest_quartet_dens` —
-/// per unique ordered tuple `(a,b,c,e)` of the integral's orbit,
-/// Coulomb `F_ch[ab] += D_J[ce] * X` into every spin channel and
-/// exchange `F_ch[ac] += k * X * D_ch[be]` with `k` = -1/2 (RHF) or
-/// -1 (UHF) — summed in a different order, so parity with the replicated
-/// builders holds to rounding, not bitwise.
-#[allow(clippy::too_many_arguments)]
-pub fn digest_quartet_shard(
-    basis: &BasisSet,
-    si: usize,
-    sj: usize,
-    sk: usize,
-    sl: usize,
-    quartet: &[f64],
-    dens: &mut ShardDensity<'_>,
-    fock: &mut RowShardFock<'_>,
-) {
-    let sh_i = &basis.shells[si];
-    let sh_j = &basis.shells[sj];
-    let sh_k = &basis.shells[sk];
-    let sh_l = &basis.shells[sl];
-    let (ni, nj, nk, nl) =
-        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
-    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
-    let same_ij = si == sj;
-    let same_kl = sk == sl;
-    let same_pair = si == sk && sj == sl;
-    let nch = dens.n_out();
-    let kf = dens.k_factor();
-
-    for a in 0..ni {
-        let mu = fi + a;
-        let b_hi = if same_ij { a + 1 } else { nj };
-        for b in 0..b_hi {
-            let nu = fj + b;
-            let munu = mu * (mu + 1) / 2 + nu;
-            for c in 0..nk {
-                let lam = fk + c;
-                let d_hi = if same_kl { c + 1 } else { nl };
-                for dd in 0..d_hi {
-                    let sig = fl + dd;
-                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                        continue;
-                    }
-                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let orbit = [
-                        (mu, nu, lam, sig),
-                        (nu, mu, lam, sig),
-                        (mu, nu, sig, lam),
-                        (nu, mu, sig, lam),
-                        (lam, sig, mu, nu),
-                        (sig, lam, mu, nu),
-                        (lam, sig, nu, mu),
-                        (sig, lam, nu, mu),
-                    ];
-                    for (idx, &(p, q, r, s)) in orbit.iter().enumerate() {
-                        if orbit[..idx].contains(&(p, q, r, s)) {
-                            continue;
-                        }
-                        if p >= q {
-                            let j = dens.coulomb(r, s) * x;
-                            for ch in 0..nch {
-                                fock.add(ch, p, q, j);
-                            }
-                        }
-                        if p >= r {
-                            for ch in 0..nch {
-                                fock.add(ch, p, r, kf * x * dens.exchange(ch, q, s));
-                            }
-                        }
-                    }
+/// Exact zeros are not written: symmetry zeros fill whole rows of a
+/// linear molecule's blocks (two thirds of H24's integrals), and skipping
+/// them cut the sharded H24 digestion time by 15–35% (interleaved timing
+/// of the digestion alone, 2-vCPU host).
+impl ChannelSink for RowShardFock<'_> {
+    #[inline]
+    fn add_block(&mut self, ch: usize, blk: &FockBlock<'_>, scale: f64) {
+        let ((p0, _), (q0, _)) = (blk.rows(), blk.cols());
+        let (b, lo, transposed) = self.route(p0.max(q0), p0.min(q0));
+        self.dirty[b] = true;
+        let (w, base) = (self.width, (ch * 3 + b) * self.max_fns);
+        let blocks = &mut self.blocks;
+        if transposed {
+            blk.fold(scale, |p, q, v| {
+                if v != 0.0 {
+                    blocks[(base + q - lo) * w + p] += v;
                 }
-            }
+            });
+        } else {
+            blk.fold(scale, |p, q, v| {
+                if v != 0.0 {
+                    blocks[(base + p - lo) * w + q] += v;
+                }
+            });
         }
     }
 }
@@ -698,7 +749,7 @@ impl FockSink for RowBufferFock {
 mod tests {
     use super::*;
     use crate::fock::engine::FockContext;
-    use crate::fock::{kl_bounds, serial::build_serial, DensitySet};
+    use crate::fock::{kl_bounds, serial::build_serial, BlockDigest, DensitySet};
     use phi_chem::basis::BasisName;
     use phi_chem::geom::small;
     use phi_integrals::{EriEngine, Screening, ShellPairs};
@@ -718,6 +769,7 @@ mod tests {
         let ns = b.n_shells();
         let mut engine = EriEngine::new();
         let mut eri = Vec::new();
+        let mut dig = BlockDigest::default();
         for i in 0..ns {
             for j in 0..=i {
                 fock.begin_task(i, j);
@@ -731,7 +783,7 @@ mod tests {
                         eri.clear();
                         eri.resize(bra.n_fn() * ket.n_fn(), 0.0);
                         engine.shell_quartet_pairs(bra, ket, &mut eri);
-                        digest_quartet_shard(b, i, j, k, l, &eri, dens, fock);
+                        dig.quartet(b, [i, j, k, l], &eri, dens, fock);
                     }
                 }
                 fock.end_task();
@@ -767,7 +819,11 @@ mod tests {
                     .map(|_| DistributedArray::new_with_mode(tri_len(n), 3, mode))
                     .collect();
                 let mut fock = RowShardFock::new(&f_wins, &b, 0);
-                sweep(&b, &mut ShardDensity::new(&d_wins, n, 0), &mut fock);
+                sweep(
+                    &b,
+                    &mut ShardDensity::new(&d_wins, n, b.max_shell_functions(), 0),
+                    &mut fock,
+                );
                 assert!(fock.pending.is_empty() && fock.blocks.iter().all(|&v| v == 0.0));
                 for (ch, want_ch) in want.iter().enumerate() {
                     let got = gather_tri(&f_wins[ch], n);
@@ -804,13 +860,15 @@ mod tests {
         let dens = DensitySet::Restricted(&d);
         let work = dens.prepare();
         let wins = scatter_density(&work, n, 4, DdiMode::Mpi3OneSided);
-        let mut reader = ShardDensity::new(&wins, n, 1);
+        let mut reader = ShardDensity::new(&wins, n, 1, 1);
         let arena_len = reader.arena.len();
+        let mut v = [0.0];
         for sweep in 0..3 {
             for p in 0..n {
                 let p = (p * 37 + sweep * 11) % n;
                 for q in 0..n {
-                    assert_eq!(reader.coulomb(p, q), d[(p, q)], "({p},{q})");
+                    reader.gather(0, p, 1, q, 1, &mut v);
+                    assert_eq!(v[0], d[(p, q)], "({p},{q})");
                 }
                 assert_cache_consistent(&reader);
             }

@@ -6,13 +6,21 @@
 //! quartets are distributed over ranks/threads and where updates land,
 //! which is exactly the paper's framing.
 //!
-//! Digestion works on the ordered-orbit principle: a unique integral
-//! `(ij|kl)` stands for up to eight ordered index tuples; each distinct
-//! ordered tuple `(a,b,c,d)` contributes a Coulomb update
-//! `F_ab += D_cd * X` and an exchange update `F_ac -= X/2 * D_bd`
-//! (closed-shell RHF). Only canonical (`row >= col`) updates are emitted —
-//! mirror updates are redundant by symmetry — matching GAMESS's triangular
-//! Fock storage.
+//! Digestion works per shell quartet (module `digest`). A canonical quartet
+//! `(ij|kl)` stands for the up to eight orderings of its orbit; instead of
+//! walking that orbit one integral at a time, the whole ERI block is
+//! contracted once into six J/K blocks — `J_ab`, `J_cd` from the Coulomb
+//! density and `K_ac`, `K_ad`, `K_bc`, `K_bd` from each spin channel's
+//! exchange density — weighted by the quartet's degeneracy factor
+//! `f = 1 / ((i==j ? 2 : 1) (k==l ? 2 : 1) (ij==kl ? 2 : 1))`. Each block
+//! element is then written once per quartet to canonical (`row >= col`)
+//! storage, matching GAMESS's triangular Fock storage: `2f J` and
+//! `k f K` with `k = -1/2` for RHF and `-1` per UHF spin channel.
+//!
+//! The element-level orbit walk survives as the oracle the tests and the
+//! benchmark replay check against: [`digest_value_scaled`] applies one
+//! integral's ordered orbit, and [`serial::build_jk_serial`] runs it over a
+//! whole build.
 //!
 //! Note: Algorithm 1/2 in the paper print the inner loop bound as
 //! `k==i ? lmax <- k : lmax <- j`; the canonical unique-quartet bound
@@ -20,6 +28,7 @@
 //! implements) is `k==i ? lmax <- j : lmax <- k`. We implement the
 //! canonical bound and note the typo here.
 
+mod digest;
 pub mod distributed;
 pub mod engine;
 pub mod incremental;
@@ -32,6 +41,8 @@ pub mod shared_fock;
 mod skeleton;
 
 use crate::stats::FockBuildStats;
+pub(crate) use digest::BlockDigest;
+pub use digest::FockBlock;
 use phi_chem::BasisSet;
 use phi_linalg::Mat;
 
@@ -177,6 +188,14 @@ impl DensityWork<'_> {
 /// Destination of canonical Fock updates (`mu >= nu` always).
 pub trait FockSink {
     fn add(&mut self, mu: usize, nu: usize, v: f64);
+
+    /// Add one digested shell-pair block, `scale * (B + B^T)`, in
+    /// canonical storage. Sinks that route by shell override this to pick
+    /// the destination once per block.
+    #[inline(always)]
+    fn add_block(&mut self, blk: &FockBlock<'_>, scale: f64) {
+        blk.fold(scale, |p, q, v| self.add(p, q, v));
+    }
 }
 
 /// A plain lower-triangle sink over a square row-major buffer with known
@@ -195,10 +214,12 @@ impl FockSink for TriSink<'_> {
 }
 
 /// Digest one *canonical* shell quartet `(si sj | sk sl)` (shell indices
-/// `si >= sj`, `sk >= sl`, `pair(si,sj) >= pair(sk,sl)`) into Fock updates.
+/// `si >= sj`, `sk >= sl`, `pair(si,sj) >= pair(sk,sl)`) of a closed-shell
+/// build into canonical Fock updates: `G = J(D) - K(D)/2`.
 ///
 /// `quartet` is the ERI buffer laid out `[n_i][n_j][n_k][n_l]`; `d` the
-/// (full, symmetric) density matrix; updates flow into `sink`.
+/// (full, symmetric) density matrix; updates flow into `sink`. This is the
+/// block digestion every builder runs, with a per-thread scratch.
 #[allow(clippy::too_many_arguments)]
 pub fn digest_quartet(
     basis: &BasisSet,
@@ -210,156 +231,26 @@ pub fn digest_quartet(
     d: &Mat,
     sink: &mut impl FockSink,
 ) {
-    let sh_i = &basis.shells[si];
-    let sh_j = &basis.shells[sj];
-    let sh_k = &basis.shells[sk];
-    let sh_l = &basis.shells[sl];
-    let (ni, nj, nk, nl) =
-        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
-    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
-    let same_ij = si == sj;
-    let same_kl = sk == sl;
-    let same_pair = si == sk && sj == sl;
-
-    for a in 0..ni {
-        let mu = fi + a;
-        let b_hi = if same_ij { a + 1 } else { nj };
-        for b in 0..b_hi {
-            let nu = fj + b;
-            let munu = mu * (mu + 1) / 2 + nu;
-            for c in 0..nk {
-                let lam = fk + c;
-                let d_hi = if same_kl { c + 1 } else { nl };
-                for dd in 0..d_hi {
-                    let sig = fl + dd;
-                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                        continue;
-                    }
-                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    digest_value(mu, nu, lam, sig, x, d, sink);
-                }
-            }
-        }
+    thread_local! {
+        static SCRATCH: std::cell::RefCell<BlockDigest> = Default::default();
     }
-}
-
-/// Digest one canonical shell quartet into every spin channel of a
-/// prepared [`DensityWork`], one sink per channel.
-///
-/// Restricted input routes through the monomorphic RHF fast path
-/// ([`digest_quartet`]) so the closed-shell hot loop is byte-for-byte the
-/// pre-engine code; unrestricted input walks the same orbit once, reading
-/// the total density for Coulomb and the per-spin densities for exchange.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn digest_quartet_dens<S: FockSink>(
-    basis: &BasisSet,
-    si: usize,
-    sj: usize,
-    sk: usize,
-    sl: usize,
-    quartet: &[f64],
-    dens: &DensityWork<'_>,
-    sinks: &mut [S],
-) {
-    match dens {
-        DensityWork::Restricted(d) => {
-            digest_quartet(basis, si, sj, sk, sl, quartet, d, &mut sinks[0])
-        }
-        DensityWork::Unrestricted { total, alpha, beta } => {
-            let (sa, sb) = sinks.split_at_mut(1);
-            digest_quartet_uhf(
-                basis, si, sj, sk, sl, quartet, total, alpha, beta, &mut sa[0], &mut sb[0],
-            )
-        }
-    }
-}
-
-/// UHF digestion of one canonical quartet: per unique integral,
-/// `G_s[ab] += D_t[ce] * X` (Coulomb, both spins) and
-/// `G_s[ac] -= X * D_s[be]` (exchange, per spin, full factor — no RHF 1/2).
-#[allow(clippy::too_many_arguments)]
-fn digest_quartet_uhf<SA: FockSink, SB: FockSink>(
-    basis: &BasisSet,
-    si: usize,
-    sj: usize,
-    sk: usize,
-    sl: usize,
-    quartet: &[f64],
-    d_total: &Mat,
-    d_alpha: &Mat,
-    d_beta: &Mat,
-    sink_a: &mut SA,
-    sink_b: &mut SB,
-) {
-    let sh_i = &basis.shells[si];
-    let sh_j = &basis.shells[sj];
-    let sh_k = &basis.shells[sk];
-    let sh_l = &basis.shells[sl];
-    let (ni, nj, nk, nl) =
-        (sh_i.n_functions(), sh_j.n_functions(), sh_k.n_functions(), sh_l.n_functions());
-    let (fi, fj, fk, fl) = (sh_i.first_bf, sh_j.first_bf, sh_k.first_bf, sh_l.first_bf);
-    let same_ij = si == sj;
-    let same_kl = sk == sl;
-    let same_pair = si == sk && sj == sl;
-
-    for a in 0..ni {
-        let mu = fi + a;
-        let b_hi = if same_ij { a + 1 } else { nj };
-        for b in 0..b_hi {
-            let nu = fj + b;
-            let munu = mu * (mu + 1) / 2 + nu;
-            for c in 0..nk {
-                let lam = fk + c;
-                let d_hi = if same_kl { c + 1 } else { nl };
-                for dd in 0..d_hi {
-                    let sig = fl + dd;
-                    if same_pair && lam * (lam + 1) / 2 + sig > munu {
-                        continue;
-                    }
-                    let x = quartet[((a * nj + b) * nk + c) * nl + dd];
-                    if x == 0.0 {
-                        continue;
-                    }
-                    let orbit = [
-                        (mu, nu, lam, sig),
-                        (nu, mu, lam, sig),
-                        (mu, nu, sig, lam),
-                        (nu, mu, sig, lam),
-                        (lam, sig, mu, nu),
-                        (sig, lam, mu, nu),
-                        (lam, sig, nu, mu),
-                        (sig, lam, nu, mu),
-                    ];
-                    for (idx, &(p, q, r, s)) in orbit.iter().enumerate() {
-                        if orbit[..idx].contains(&(p, q, r, s)) {
-                            continue;
-                        }
-                        if p >= q {
-                            let j = d_total[(r, s)] * x;
-                            sink_a.add(p, q, j);
-                            sink_b.add(p, q, j);
-                        }
-                        if p >= r {
-                            sink_a.add(p, r, -x * d_alpha[(q, s)]);
-                            sink_b.add(p, r, -x * d_beta[(q, s)]);
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let mut dens = &DensityWork::Restricted(d);
+    SCRATCH.with_borrow_mut(|dig| {
+        dig.quartet(basis, [si, sj, sk, sl], quartet, &mut dens, std::slice::from_mut(sink))
+    });
 }
 
 /// Apply the updates of one unique integral value over its ordered orbit,
-/// with separate Coulomb and exchange scale factors.
+/// with separate Coulomb and exchange scale factors: the element-level
+/// oracle of digestion.
 ///
-/// The closed-shell RHF digestion is `(cj, ck) = (1, -1/2)`; the
-/// open-shell builders (UHF) recombine passes with other factors —
-/// exactly the generalization the paper's conclusion points at ("UHF,
-/// GVB, DFT, CPHF all have this structure").
+/// Each distinct ordered tuple `(a,b,c,e)` of the orbit of `(mu nu|lam sig)`
+/// adds `cj * D_ce * X` to `F_ab` and `ck * X * D_be` to `F_ac`, canonical
+/// (`row >= col`) emissions only. The closed-shell RHF digestion is
+/// `(cj, ck) = (1, -1/2)`; UHF is `(1, 0)` on the total density plus
+/// `(0, -1)` on each spin density. No builder calls this: the tests and
+/// the benchmark replay check the block digestion against it,
+/// and [`serial::build_jk_serial`] runs it over a whole build.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn digest_value_scaled(
@@ -392,44 +283,6 @@ pub fn digest_value_scaled(
         }
         if ck != 0.0 && a >= c {
             sink.add(a, c, ck * x * d[(b, e)]);
-        }
-    }
-}
-
-/// Apply the updates of one unique integral value over its ordered orbit.
-#[inline]
-pub fn digest_value(
-    mu: usize,
-    nu: usize,
-    lam: usize,
-    sig: usize,
-    x: f64,
-    d: &Mat,
-    sink: &mut impl FockSink,
-) {
-    // The eight ordered representatives of the orbit.
-    let orbit = [
-        (mu, nu, lam, sig),
-        (nu, mu, lam, sig),
-        (mu, nu, sig, lam),
-        (nu, mu, sig, lam),
-        (lam, sig, mu, nu),
-        (sig, lam, mu, nu),
-        (lam, sig, nu, mu),
-        (sig, lam, nu, mu),
-    ];
-    for (idx, &(a, b, c, e)) in orbit.iter().enumerate() {
-        // Skip duplicates arising from index coincidences.
-        if orbit[..idx].contains(&(a, b, c, e)) {
-            continue;
-        }
-        // Coulomb: F_ab += D_ce * X  (canonical emission only).
-        if a >= b {
-            sink.add(a, b, d[(c, e)] * x);
-        }
-        // Exchange: F_ac -= X/2 * D_be (canonical emission only).
-        if a >= c {
-            sink.add(a, c, -0.5 * x * d[(b, e)]);
         }
     }
 }
@@ -609,8 +462,9 @@ mod tests {
 
     #[test]
     fn orbit_dedup_handles_all_coincidence_patterns() {
-        // Exercise digest_value on every index-coincidence pattern and
-        // compare against an equivalent brute-force ordered expansion.
+        // Exercise the closed-shell element oracle on every
+        // index-coincidence pattern and compare against an equivalent
+        // brute-force ordered expansion.
         let n = 4;
         let d = test_density(n);
         let cases = [
@@ -627,7 +481,7 @@ mod tests {
             let mut got = vec![0.0; n * n];
             {
                 let mut sink = TriSink { buf: &mut got, n };
-                digest_value(mu, nu, lam, sig, x, &d, &mut sink);
+                digest_value_scaled(mu, nu, lam, sig, x, &d, 1.0, -0.5, &mut sink);
             }
             // Reference: enumerate the orbit as a set, apply full updates.
             let mut orbit = vec![
@@ -658,6 +512,228 @@ mod tests {
                         want_full[(r, c)]
                     );
                 }
+            }
+        }
+    }
+
+    /// One shell of every width on three centers: s (1), SP (4), p (3),
+    /// d (6), a synthetic f (10) and a second s — 25 functions. Every
+    /// canonical quartet of six shells covers each shell-coincidence
+    /// pattern.
+    fn mixed_width_basis() -> BasisSet {
+        use phi_chem::basis::AngBlock;
+        let shell = |center: [f64; 3], exps: &[f64], ls: &[usize]| phi_chem::Shell {
+            atom: 0,
+            center,
+            exps: exps.to_vec(),
+            blocks: ls
+                .iter()
+                .map(|&l| AngBlock { l, coefs: exps.iter().map(|e| 0.4 + 0.1 * e).collect() })
+                .collect(),
+            first_bf: 0,
+        };
+        let (a, b, c) = ([0.0, 0.0, 0.0], [0.0, 0.3, 1.4], [0.9, 0.7, -0.5]);
+        BasisSet::from_shells(
+            BasisName::B631gd,
+            vec![
+                shell(a, &[3.4, 0.6], &[0]),
+                shell(a, &[1.1, 0.3], &[0, 1]),
+                shell(b, &[0.9], &[1]),
+                shell(b, &[0.8], &[2]),
+                shell(c, &[0.7], &[3]),
+                shell(c, &[0.5], &[0]),
+            ],
+        )
+    }
+
+    /// Every canonical quartet `[i, j, k, l]` of `b` with its ERI block.
+    fn all_quartets(b: &BasisSet) -> Vec<([usize; 4], Vec<f64>)> {
+        let mut engine = phi_integrals::EriEngine::new();
+        engine.prefactor_cutoff = 0.0;
+        let mut out = Vec::new();
+        for i in 0..b.n_shells() {
+            for j in 0..=i {
+                for k in 0..=i {
+                    for l in 0..=kl_bounds(i, j, k) {
+                        let sh = [i, j, k, l].map(|s| &b.shells[s]);
+                        let mut eri = vec![0.0; sh.iter().map(|s| s.n_functions()).product()];
+                        engine.shell_quartet(sh[0], sh[1], sh[2], sh[3], &mut eri);
+                        out.push(([i, j, k, l], eri));
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The element oracle for one quartet: each nonzero symmetry-unique
+    /// integral through `digest_value_scaled`.
+    fn oracle_quartet(
+        b: &BasisSet,
+        [i, j, k, l]: [usize; 4],
+        eri: &[f64],
+        d: &Mat,
+        (cj, ck): (f64, f64),
+        sink: &mut TriSink<'_>,
+    ) {
+        let sh = [i, j, k, l].map(|s| &b.shells[s]);
+        let [ni, nj, nk, nl] = sh.map(|s| s.n_functions());
+        for fa in 0..ni {
+            let mu = sh[0].first_bf + fa;
+            for fb in 0..if i == j { fa + 1 } else { nj } {
+                let nu = sh[1].first_bf + fb;
+                for fc in 0..nk {
+                    let lam = sh[2].first_bf + fc;
+                    for fd in 0..if k == l { fc + 1 } else { nl } {
+                        let sig = sh[3].first_bf + fd;
+                        let before = lam * (lam + 1) / 2 + sig > mu * (mu + 1) / 2 + nu;
+                        let x = eri[((fa * nj + fb) * nk + fc) * nl + fd];
+                        if !(i == k && j == l && before) && x != 0.0 {
+                            digest_value_scaled(mu, nu, lam, sig, x, d, cj, ck, sink);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per-channel oracle `G` of one quartet: RHF `J(D) - K(D)/2`, UHF
+    /// `J(D_a + D_b) - K(D_s)`.
+    fn oracle_channels(
+        b: &BasisSet,
+        q: [usize; 4],
+        eri: &[f64],
+        dens: &DensitySet<'_>,
+    ) -> Vec<Mat> {
+        let n = b.n_basis();
+        let digest = |d: &Mat, f: (f64, f64)| {
+            let mut buf = vec![0.0; n * n];
+            oracle_quartet(b, q, eri, d, f, &mut TriSink { buf: &mut buf, n });
+            tri_to_full(&buf, n)
+        };
+        match *dens {
+            DensitySet::Restricted(d) => vec![digest(d, (1.0, -0.5))],
+            DensitySet::Unrestricted { alpha, beta } => {
+                let j = digest(&alpha.add(beta), (1.0, 0.0));
+                vec![j.add(&digest(alpha, (0.0, -1.0))), j.add(&digest(beta, (0.0, -1.0)))]
+            }
+        }
+    }
+
+    /// The block digestion of one quartet through the replicated reader
+    /// and writer (the one every replicated builder runs).
+    fn block_replicated(
+        b: &BasisSet,
+        q: [usize; 4],
+        eri: &[f64],
+        dens: &DensitySet<'_>,
+    ) -> Vec<Mat> {
+        let work = dens.prepare();
+        let mut fock = matrix::ReplicatedFock::new(work.n_channels(), b.n_basis());
+        let mut sinks = fock.sinks();
+        BlockDigest::default().quartet(b, q, eri, &mut &work, &mut sinks[..]);
+        drop(sinks);
+        fock.into_mats()
+    }
+
+    /// The block digestion of one quartet through the sharded reader and
+    /// writer, as a one-quartet task of the sharded builder.
+    fn block_sharded(b: &BasisSet, q: [usize; 4], eri: &[f64], dens: &DensitySet<'_>) -> Vec<Mat> {
+        use matrix::{gather_tri, scatter_density, tri_len, RowShardFock, ShardDensity};
+        let n = b.n_basis();
+        let work = dens.prepare();
+        let d_wins = scatter_density(&work, n, 2, phi_dmpi::DdiMode::Mpi3OneSided);
+        let f_wins: Vec<phi_dmpi::DistributedArray> = (0..work.n_channels())
+            .map(|_| phi_dmpi::DistributedArray::new(tri_len(n), 2))
+            .collect();
+        let mut fock = RowShardFock::new(&f_wins, b, 0);
+        fock.begin_task(q[0], q[1]);
+        fock.begin_k(q[2]);
+        let mut reader = ShardDensity::new(&d_wins, n, b.max_shell_functions(), 0);
+        BlockDigest::default().quartet(b, q, eri, &mut reader, &mut fock);
+        fock.end_task();
+        fock.flush();
+        f_wins.iter().map(|w| gather_tri(w, n)).collect()
+    }
+
+    #[test]
+    fn block_digestion_matches_element_oracle_on_every_pattern_width_and_backend() {
+        // Real ERIs of s, SP, p, d and f shells; every canonical quartet
+        // separately, so a failure names its quartet.
+        let b = mixed_width_basis();
+        let n = b.n_basis();
+        assert_eq!(n, 25);
+        let d_a = test_density(n);
+        let d_b = Mat::from_fn(n, n, |p, q| 0.2 / (1.0 + (p as f64 - q as f64).abs()));
+        let quartets = all_quartets(&b);
+        let mut patterns = [0usize; 5];
+        for (q, eri) in &quartets {
+            let [i, j, k, l] = *q;
+            let hits =
+                [i == j, k == l, i == k && j == l, i == k && j != l, i == j && j == k && k == l];
+            for (count, hit) in patterns.iter_mut().zip(hits) {
+                *count += usize::from(hit);
+            }
+            for dens in
+                [DensitySet::Restricted(&d_a), DensitySet::Unrestricted { alpha: &d_a, beta: &d_b }]
+            {
+                let want = oracle_channels(&b, *q, eri, &dens);
+                let scale =
+                    want.iter().flat_map(|m| m.as_slice()).fold(0.0f64, |m, v| m.max(v.abs()));
+                for (backend, got) in [
+                    ("replicated", block_replicated(&b, *q, eri, &dens)),
+                    ("sharded", block_sharded(&b, *q, eri, &dens)),
+                ] {
+                    for (ch, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let gap = g.max_abs_diff(w);
+                        assert!(
+                            gap <= 1e-13 * scale,
+                            "{backend} {q:?} {} channel {ch}: gap {gap:e}, max |G| {scale:e}",
+                            dens.n_channels()
+                        );
+                    }
+                }
+            }
+        }
+        assert!(patterns.iter().all(|&c| c > 0), "coincidence patterns covered: {patterns:?}");
+    }
+
+    /// A sink that only counts canonical updates.
+    struct CountingSink(usize);
+
+    impl FockSink for CountingSink {
+        fn add(&mut self, _: usize, _: usize, _: f64) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    fn block_digestion_emits_each_dd_dd_block_element_once_per_channel() {
+        // Two carbons in 6-31G(d): shells 3 and 7 are the d shells.
+        let b = BasisSet::build(&small::c_ring(2, 1.3), BasisName::B631gd);
+        let d_shells: Vec<usize> =
+            (0..b.n_shells()).filter(|&s| b.shells[s].n_functions() == 6).collect();
+        assert_eq!(d_shells.len(), 2);
+        let (hi, lo) = (d_shells[1], d_shells[0]);
+        let n = b.n_basis();
+        let d_a = test_density(n);
+        let mut d_b = test_density(n);
+        d_b.scale(0.5);
+        let mut engine = phi_integrals::EriEngine::new();
+        for q in [[hi, lo, hi, lo], [hi, hi, lo, lo], [hi, lo, lo, lo], [hi, hi, hi, hi]] {
+            let sh = q.map(|s| &b.shells[s]);
+            let mut eri = vec![0.0; 6 * 6 * 6 * 6];
+            engine.shell_quartet(sh[0], sh[1], sh[2], sh[3], &mut eri);
+            // ni nj + nk nl + ni nk + ni nl + nj nk + nj nl
+            let bound = 6 * 36;
+            let mut rhf = CountingSink(0);
+            digest_quartet(&b, q[0], q[1], q[2], q[3], &eri, &d_a, &mut rhf);
+            assert!(rhf.0 <= bound, "{q:?} RHF: {} updates > {bound}", rhf.0);
+            let work = DensitySet::Unrestricted { alpha: &d_a, beta: &d_b }.prepare();
+            let mut uhf = [CountingSink(0), CountingSink(0)];
+            BlockDigest::default().quartet(&b, q, &eri, &mut &work, &mut uhf[..]);
+            for (ch, s) in uhf.iter().enumerate() {
+                assert!(s.0 <= bound, "{q:?} UHF channel {ch}: {} updates > {bound}", s.0);
             }
         }
     }

@@ -10,12 +10,13 @@
 //! the replicated matrices are *really allocated* per rank through the
 //! tracker, so the returned report scales linearly with the rank count.
 
+use super::digest::BlockDigest;
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::skeleton::{
     gsum_replicated, lease_loop, replicate_inputs, replicated_result, run_ranks, Charge, Worker,
 };
-use super::{digest_quartet_dens, pair_decode, DensitySet, GBuild};
+use super::{pair_decode, DensitySet, GBuild};
 use phi_dmpi::{LeaseMode, WorldConfig};
 
 /// Build the two-electron matrices for `dens` with Algorithm 1 over the
@@ -34,13 +35,14 @@ pub(crate) fn build(ctx: &FockContext<'_>, dens: &DensitySet<'_>, cfg: WorldConf
         let _fock = Charge::new(rank, fock.bytes());
         let mut w = Worker::new(ctx);
         let mut sinks = fock.sinks();
+        let (mut dig, mut src) = (BlockDigest::default(), &work);
         // Fock accumulators are volatile: a dead rank's partial sums
         // never reach the reduction, so everything it ever computed is
         // reissued to survivors.
         let alive = lease_loop(rank, ns * (ns + 1) / 2, LeaseMode::Volatile, &mut w, |w, t| {
             let (i, j) = pair_decode(t);
             w.ij_task(i, j, |k, l, eri| {
-                digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
+                dig.quartet(basis, [i, j, k, l], eri, &mut src, &mut sinks[..])
             });
         });
         drop(sinks);

@@ -9,12 +9,13 @@
 //! task pool from `i` iterations to `(i+1)^2` and fixes the load imbalance
 //! the paper attributes to two-index MPI parallelization.
 
+use super::digest::BlockDigest;
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::skeleton::{
     gsum_replicated, replicate_inputs, replicated_result, run_ranks, Charge, TeamLeases, Worker,
 };
-use super::{digest_quartet_dens, DensitySet, GBuild};
+use super::{DensitySet, GBuild};
 use crate::stats::FockBuildStats;
 use phi_dmpi::WorldConfig;
 use phi_omp::{Schedule, Team};
@@ -43,12 +44,13 @@ pub(crate) fn build(
             rank.charge_bytes(fock.bytes());
             let mut w = Worker::new(ctx);
             let mut sinks = fock.sinks();
+            let (mut dig, mut src) = (BlockDigest::default(), &work);
             // Master pulls the next i lease (Algorithm 2 lines 3-6); the
             // merged (j, k) loops are workshared dynamically (lines 7-20).
             leases.run(tctx, &mut w, |w, i| {
                 tctx.collapse2(i + 1, i + 1, Schedule::dynamic1(), |j, k| {
                     w.l_row(i, j, k, &mut |k, l, eri| {
-                        digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
+                        dig.quartet(basis, [i, j, k, l], eri, &mut src, &mut sinks[..])
                     });
                 });
                 true

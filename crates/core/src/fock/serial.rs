@@ -2,10 +2,11 @@
 //! on a single thread, no MPI, no OpenMP. Ground truth for the parallel
 //! builders and the baseline for workload statistics.
 
+use super::digest::BlockDigest;
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::skeleton::Worker;
-use super::{digest_quartet_dens, digest_value_scaled, DensitySet, GBuild, TriSink};
+use super::{digest_value_scaled, DensitySet, GBuild, TriSink};
 use phi_chem::BasisSet;
 use phi_integrals::{Screening, ShellPairs};
 use phi_linalg::Mat;
@@ -27,10 +28,11 @@ pub fn build_serial(ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
     let mut w = Worker::new(ctx);
     {
         let mut sinks = fock.sinks();
+        let (mut dig, mut src) = (BlockDigest::default(), &work);
         for i in 0..basis.n_shells() {
             for j in 0..=i {
                 w.ij_task(i, j, |k, l, eri| {
-                    digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks)
+                    dig.quartet(basis, [i, j, k, l], eri, &mut src, &mut sinks[..])
                 });
             }
         }
@@ -50,10 +52,12 @@ pub fn build_serial(ctx: &FockContext<'_>, dens: &DensitySet<'_>) -> GBuild {
 
 /// Build a generalized two-electron matrix
 /// `M_{mu nu} = cj * J(D)_{mu nu} + |ck| * sign(ck) * K(D)_{mu nu}`
-/// with the serial canonical loops. `(1, -0.5)` recovers the RHF `G`;
-/// `(1, 0)` gives pure Coulomb, `(0, -1)` gives `-K` — the building blocks
-/// of the UHF spin Fock matrices (and the reference the unified
-/// unrestricted digestion is tested against).
+/// with the serial canonical loops, digesting one integral at a time
+/// through [`digest_value_scaled`]: the element-level oracle of a whole
+/// build. `(1, -0.5)` recovers the RHF `G`; `(1, 0)` gives pure Coulomb,
+/// `(0, -1)` gives `-K` — the building blocks of the UHF spin Fock
+/// matrices. The tests check the block digestion every builder runs
+/// against it.
 pub fn build_jk_serial(
     basis: &BasisSet,
     pairs: &ShellPairs,

@@ -8,7 +8,8 @@
 //! window plus O(N) buffers ([`ShardBudget`]):
 //!
 //! * reads go through [`ShardDensity`] — on-demand row `get`s into a
-//!   direct-indexed FIFO row cache;
+//!   direct-indexed FIFO row cache, one cached row per density block row
+//!   of a quartet;
 //! * writes accumulate in [`RowShardFock`]'s dense row blocks for shells
 //!   i, j and k of the current task — Algorithm 3's `FI`/`FJ` write
 //!   pattern — flushed as one `acc` per block row when k advances and at
@@ -21,10 +22,10 @@
 //! `lease_next`, so a dead rank dies holding an unstarted task — never
 //! stranding flushed-but-incomplete or completed-but-unflushed work).
 
+use super::digest::BlockDigest;
 use super::engine::FockContext;
 use super::matrix::{
-    digest_quartet_shard, gather_tri, scatter_density, tri_len, RowShardFock, ShardBudget,
-    ShardDensity,
+    gather_tri, scatter_density, tri_len, RowShardFock, ShardBudget, ShardDensity,
 };
 use super::skeleton::{lease_loop, run_ranks, window, Charge, Worker};
 use super::{pair_decode, DensitySet, GBuild};
@@ -59,20 +60,21 @@ pub(crate) fn build(
     let budget = ShardBudget::new(n, basis.max_shell_functions(), n_ranks, nch);
 
     let (_, stats) = run_ranks(cfg, &wins, |rank| {
-        let mut reader = ShardDensity::new(d_wins, n, rank.rank());
+        let mut reader = ShardDensity::new(d_wins, n, basis.max_shell_functions(), rank.rank());
         let mut fock = RowShardFock::new(f_wins, basis, rank.rank());
         debug_assert_eq!(budget.buffer_bytes, reader.resident_bytes() + fock.resident_bytes());
         let _charge = Charge::new(rank, budget.total() + ctx.pairs.bytes());
 
         let fault_mode = rank.faults_enabled();
         let mut w = Worker::new(ctx);
+        let mut dig = BlockDigest::default();
         let alive = lease_loop(rank, ns * (ns + 1) / 2, LeaseMode::Durable, &mut w, |w, t| {
             let (i, j) = pair_decode(t);
             fock.begin_task(i, j);
             for k in 0..=i {
                 fock.begin_k(k);
                 w.l_row(i, j, k, &mut |k, l, eri| {
-                    digest_quartet_shard(basis, i, j, k, l, eri, &mut reader, &mut fock)
+                    dig.quartet(basis, [i, j, k, l], eri, &mut reader, &mut fock)
                 });
             }
             fock.end_task();

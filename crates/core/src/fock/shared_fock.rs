@@ -2,15 +2,16 @@
 //!
 //! The paper's unique contribution. Per rank, one Fock matrix per spin
 //! channel is shared by all threads; the write-dependency problem of
-//! eqs. (2a)–(2f) is solved by splitting each quartet's six updates across
-//! three destinations (Algorithm 3 lines 25–27):
+//! eqs. (2a)–(2f) is solved by splitting each quartet's six digested
+//! blocks across three destinations (Algorithm 3 lines 25–27), chosen
+//! once per block:
 //!
-//! * updates touching shell `i`'s block -> thread-private `FI` buffer,
-//! * updates touching shell `j`'s block -> thread-private `FJ` buffer,
-//! * the `(k, l)` element -> the shared Fock matrix directly (threads own
-//!   distinct `kl` iterations, so element collisions cannot occur within a
-//!   task; we still use atomic adds — see DESIGN.md on the safe-Rust
-//!   substitution).
+//! * blocks touching shell `i` -> thread-private `FI` buffer,
+//! * blocks touching shell `j` -> thread-private `FJ` buffer,
+//! * the `(k, l)` Coulomb block -> the shared Fock matrix directly, once
+//!   per quartet (threads own distinct `kl` iterations, so element
+//!   collisions cannot occur within a task; we still use atomic adds —
+//!   see DESIGN.md on the safe-Rust substitution).
 //!
 //! `FJ` is flushed (padded chunked tree reduction, paper Figure 1) after
 //! every `kl` loop; `FI` is flushed lazily, only when the task's `i`
@@ -24,18 +25,19 @@
 //! density-max table): a lossless necessary condition of the quartet test
 //! (see DESIGN.md).
 
+use super::digest::BlockDigest;
 use super::engine::FockContext;
 use super::matrix::ReplicatedFock;
 use super::skeleton::{
     gsum_replicated, replicate_inputs, replicated_result, run_ranks, Charge, TeamLeases, Worker,
 };
-use super::{digest_quartet_dens, pair_decode, pair_index, DensitySet, FockSink, GBuild};
+use super::{pair_decode, pair_index, DensitySet, FockBlock, FockSink, GBuild};
 use crate::stats::FockBuildStats;
 use phi_dmpi::WorldConfig;
 use phi_omp::{PaddedColumns, Schedule, SharedAccumulator, Team, ThreadCtx};
 
-/// Routes canonical Fock updates to FI / FJ / the shared matrix (one
-/// instance per spin channel).
+/// Routes digested blocks to FI / FJ / the shared matrix (one instance
+/// per spin channel).
 struct SharedFockSink<'a> {
     fi_col: &'a mut [f64],
     fj_col: &'a mut [f64],
@@ -62,6 +64,46 @@ impl FockSink for SharedFockSink<'_> {
         } else {
             // Pure (k, l) element: straight into the shared Fock matrix.
             self.fock.add(mu * self.n + nu, v);
+        }
+    }
+
+    /// A block's rows and columns each lie in one shell, so the
+    /// destination is chosen once per block. FI and FJ rows take either
+    /// orientation (their flush canonicalizes); only a same-shell block
+    /// needs the canonical fold.
+    #[inline]
+    fn add_block(&mut self, blk: &FockBlock<'_>, scale: f64) {
+        let ((p0, np), (q0, nq)) = (blk.rows(), blk.cols());
+        let n = self.n;
+        let (buf, lo) = if p0 == self.i_lo || q0 == self.i_lo {
+            (&mut *self.fi_col, self.i_lo)
+        } else if p0 == self.j_lo || q0 == self.j_lo {
+            (&mut *self.fj_col, self.j_lo)
+        } else {
+            // The (k, l) block: one atomic add per nonzero element.
+            let fock = self.fock;
+            blk.fold(scale, |p, q, v| {
+                if v != 0.0 {
+                    fock.add(p * n + q, v);
+                }
+            });
+            return;
+        };
+        if p0 == q0 {
+            blk.fold(scale, |p, q, v| buf[(p - lo) * n + q] += v);
+        } else if p0 == lo {
+            for x in 0..np {
+                let dst = &mut buf[(p0 + x - lo) * n + q0..][..nq];
+                for (d, &v) in dst.iter_mut().zip(&blk.values()[x * nq..(x + 1) * nq]) {
+                    *d += scale * v;
+                }
+            }
+        } else {
+            for x in 0..np {
+                for (y, &v) in blk.values()[x * nq..(x + 1) * nq].iter().enumerate() {
+                    buf[(q0 + y - lo) * n + p0 + x] += scale * v;
+                }
+            }
         }
     }
 }
@@ -124,6 +166,7 @@ pub(crate) fn build(
                     flushes += nch as u64;
                 }
             };
+            let (mut dig, mut src) = (BlockDigest::default(), &work);
             // The last task's i shell; identical across threads because
             // every thread follows the same task sequence.
             let mut iold: Option<usize> = None;
@@ -161,7 +204,7 @@ pub(crate) fn build(
                 tctx.for_each(klmax, Schedule::dynamic1(), |kl| {
                     let (k, l) = pair_decode(kl);
                     if let Some(eri) = w.quartet(i, j, k, l) {
-                        digest_quartet_dens(basis, i, j, k, l, eri, &work, &mut sinks);
+                        dig.quartet(basis, [i, j, k, l], eri, &mut src, &mut sinks[..]);
                     }
                 });
 

@@ -19,7 +19,7 @@
 //! savings here. The direct builders are where ΔD screening pays off.
 
 use crate::fock::engine::{FockBuilder, FockContext};
-use crate::fock::{digest_quartet_dens, kl_bounds, tri_to_full, DensitySet, GBuild, TriSink};
+use crate::fock::{kl_bounds, tri_to_full, BlockDigest, DensitySet, GBuild, TriSink};
 use crate::stats::FockBuildStats;
 use phi_chem::BasisSet;
 use phi_integrals::{EriEngine, Screening, ShellPairs};
@@ -97,11 +97,11 @@ impl IncoreEris {
         {
             let mut sinks: Vec<TriSink<'_>> =
                 bufs.chunks_mut(n * n).map(|buf| TriSink { buf, n }).collect();
+            let (mut dig, mut src) = (BlockDigest::default(), &work);
             for (q, &(i, j, k, l)) in self.quartets.iter().enumerate() {
                 let vals = &self.values[self.offsets[q]..self.offsets[q + 1]];
-                digest_quartet_dens(
-                    basis, i as usize, j as usize, k as usize, l as usize, vals, &work, &mut sinks,
-                );
+                let shells = [i, j, k, l].map(|s| s as usize);
+                dig.quartet(basis, shells, vals, &mut src, &mut sinks[..]);
             }
         }
         phi_trace::counter("quartets_computed", self.quartets.len() as u64);

@@ -253,6 +253,18 @@ impl TraceReport {
         Some(max / mean)
     }
 
+    /// Mean/max of per-thread busy time over every thread that ran
+    /// worksharing loops (1.0 = perfectly balanced team, the inverse view
+    /// of [`imbalance_ratio`](Self::imbalance_ratio)). `None` when the
+    /// recording has no `omp.loop` span — an MPI-only, distributed or
+    /// sharded run has no thread team to balance.
+    pub fn busy_fraction(&self) -> Option<f64> {
+        let busy: Vec<u64> = self.per_thread_busy_ns().into_values().collect();
+        let max = *busy.iter().max()? as f64;
+        let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
+        Some(if max == 0.0 { 1.0 } else { mean / max })
+    }
+
     /// Imbalance ratio for every rank that ran worksharing loops.
     pub fn imbalance_ratios(&self) -> BTreeMap<u32, f64> {
         let mut ranks: Vec<u32> = self.per_thread_busy_ns().keys().map(|&(r, _)| r).collect();
@@ -330,9 +342,10 @@ impl TraceReport {
     /// * `fock_seconds` — max over ranks of total `fock.build` time;
     /// * `reduction_seconds` — max over ranks of total `mpi.gsum` time;
     /// * `total_seconds` — wall span of the whole recording;
-    /// * `busy_fraction` — mean/max of per-thread busy time (1.0 =
-    ///   perfectly balanced team, the inverse view of
-    ///   [`imbalance_ratio`](Self::imbalance_ratio)).
+    /// * `busy_fraction` — [`busy_fraction`](Self::busy_fraction), or
+    ///   1.0 when the recording ran no worksharing loops (the shared
+    ///   schema has no absent value; callers that print it check
+    ///   [`busy_fraction`](Self::busy_fraction) first).
     pub fn summary(&self) -> TraceSummary {
         let ns = 1e-9;
         let fock_seconds =
@@ -341,18 +354,7 @@ impl TraceReport {
             self.span_total_by_rank("mpi.gsum").values().copied().max().unwrap_or(0) as f64 * ns;
         let total_seconds =
             self.time_bounds_ns().map(|(lo, hi)| (hi - lo) as f64 * ns).unwrap_or(0.0);
-        let busy: Vec<u64> = self.per_thread_busy_ns().into_values().collect();
-        let busy_fraction = if busy.is_empty() {
-            1.0
-        } else {
-            let max = *busy.iter().max().unwrap() as f64;
-            let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-            if max == 0.0 {
-                1.0
-            } else {
-                mean / max
-            }
-        };
+        let busy_fraction = self.busy_fraction().unwrap_or(1.0);
         TraceSummary { fock_seconds, reduction_seconds, total_seconds, busy_fraction }
     }
 }
@@ -463,6 +465,20 @@ mod tests {
         assert!((r - 1.5).abs() < 1e-12, "got {r}");
         let s = report.summary();
         assert!((s.busy_fraction - 200.0 / 300.0).abs() < 1e-12);
+        assert_eq!(report.busy_fraction(), Some(s.busy_fraction));
+    }
+
+    #[test]
+    fn busy_fraction_is_absent_without_worksharing_loops() {
+        // An MPI-only build: two ranks, Fock spans, no thread team.
+        let report = TraceReport::from_streams(vec![
+            stream(0, 0, vec![ev_begin("fock.build", 0), ev_end("fock.build", 100)]),
+            stream(1, 0, vec![ev_begin("fock.build", 0), ev_end("fock.build", 300)]),
+        ]);
+        assert_eq!(report.busy_fraction(), None);
+        assert!(report.imbalance_ratios().is_empty());
+        // The shared schema keeps its field.
+        assert_eq!(report.summary().busy_fraction, 1.0);
     }
 
     #[test]

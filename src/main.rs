@@ -493,13 +493,15 @@ fn write_trace(session: phi_scf::trace::TraceSession, path: &str) -> Result<(), 
         return Ok(());
     }
     let s = report.summary();
+    // Runs without a thread team (MPI-only, distributed, sharded) have no
+    // busy fraction to report.
+    let busy =
+        report.busy_fraction().map(|b| format!(", busy fraction {b:.2}")).unwrap_or_default();
     println!(
-        "trace: wrote {path}; fock {:.3} s, gsum {:.3} s, total {:.3} s, \
-         busy fraction {:.2}, DLB wait {:.3} s",
+        "trace: wrote {path}; fock {:.3} s, gsum {:.3} s, total {:.3} s{busy}, DLB wait {:.3} s",
         s.fock_seconds,
         s.reduction_seconds,
         s.total_seconds,
-        s.busy_fraction,
         report.dlb_wait_total_ns() as f64 * 1e-9
     );
     for (rank, ratio) in report.imbalance_ratios() {
